@@ -1,10 +1,16 @@
-"""Pure-Python implementations of the permutation kernels.
+"""Permutation kernels used by the market generator.
 
-These mirror ``_speedups.pyx`` exactly; either backend must produce
-identical output for identical input.
+``market`` calls these through the module (``_kernels.decode_insertions``),
+not through names imported into its own namespace, so that a tracer can
+wrap them by replacing the module attribute.  ``BACKEND`` names the
+implementation and is recorded next to benchmark results.
 """
 
 from __future__ import annotations
+
+__all__ = ["BACKEND", "count_inversions", "decode_insertions"]
+
+BACKEND = "python"
 
 
 def decode_insertions(displacements) -> list[int]:
@@ -16,8 +22,7 @@ def decode_insertions(displacements) -> list[int]:
     pairwise inversions of the result equals ``sum(displacements)``.
 
     ``list.insert`` is a C-level memmove, which keeps this acceptably
-    fast up to a few thousand items; the compiled backend replaces the
-    quadratic shifting with a Fenwick-tree slot search.
+    fast up to a few thousand items.
     """
     out: list[int] = []
     for i, v in enumerate(displacements):

@@ -42,7 +42,6 @@ TYPE_1B = "type-1b"
 TYPE_2_PERMUTATION_REPEAT = "type-2-permutation-repeat"
 IMPROVEMENT_FAILURE = "improvement-failure"
 SC_APPLICATION_CLASH = "sc-application-clash"
-PREFERENCE_EXHAUSTION = "preference-exhaustion"
 
 FAILURE_KINDS = (
     TYPE_1A,
@@ -50,13 +49,11 @@ FAILURE_KINDS = (
     TYPE_2_PERMUTATION_REPEAT,
     IMPROVEMENT_FAILURE,
     SC_APPLICATION_CLASH,
-    PREFERENCE_EXHAUSTION,
 )
 
 __all__ = [
     "FAILURE_KINDS",
     "IMPROVEMENT_FAILURE",
-    "PREFERENCE_EXHAUSTION",
     "SC_APPLICATION_CLASH",
     "TYPE_1A",
     "TYPE_1B",

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from sibmatch.algorithms import classify_failure
 from sibmatch.model import DUMMY_ID, Family, Instance
-from sibmatch.trace import ExecutionTrace
+from sibmatch.trace import ExecutionTrace, Replay
 
 __all__ = [
     "Chain",
@@ -173,26 +173,16 @@ def roster_monotonicity_violations(instance: Instance, trace: ExecutionTrace) ->
     daycare's occupancy may only grow or hold; any decrease is reported.
     """
     violations: list[dict] = []
-    assign = {c: DUMMY_ID for c, _ in instance.children}
-    for k, event in enumerate(trace):
-        kind = event["kind"]
-        if kind == "attempt":
-            assign = {c: DUMMY_ID for c, _ in instance.children}
-        elif kind == "place":
-            delta: dict[str, int] = {}
-            for child, daycare, _ in event["evicted"]:
-                delta[daycare] = delta.get(daycare, 0) - 1
-                assign[child] = DUMMY_ID
-            for child, daycare in event["placed"].items():
-                prev = assign[child]
-                if prev != DUMMY_ID:
-                    delta[prev] = delta.get(prev, 0) - 1
-                if daycare != DUMMY_ID:
-                    delta[daycare] = delta.get(daycare, 0) + 1
-                assign[child] = daycare
-            for daycare, d in delta.items():
-                if d < 0:
-                    violations.append({"event": k, "daycare": daycare, "decrease": -d})
+    for k, (_, moves) in enumerate(Replay(instance, trace)):
+        delta: dict[str, int] = {}
+        for _, source, target in moves:
+            if source != DUMMY_ID:
+                delta[source] = delta.get(source, 0) - 1
+            if target != DUMMY_ID:
+                delta[target] = delta.get(target, 0) + 1
+        for daycare, d in delta.items():
+            if d < 0:
+                violations.append({"event": k, "daycare": daycare, "decrease": -d})
     return violations
 
 
@@ -206,46 +196,31 @@ def rank_lemma_violations(instance: Instance, trace: ExecutionTrace) -> list[dic
     violation.
     """
     n_plus_one = instance.num_children + 1
-    quotas = {d.id: d.quota for d in instance.daycares if d.id != DUMMY_ID}
 
     def rank_of(daycare: str, roster: set[str]) -> int:
-        quota = quotas[daycare]
+        quota = instance.quota[daycare]
         if quota == 0 or len(roster) < quota:
             return n_plus_one
         return max(instance.rank[daycare][c] for c in roster) + 1
 
     violations: list[dict] = []
-    rosters: dict[str, set[str]] = {d: set() for d in quotas}
-    assign: dict[str, str] = {c: DUMMY_ID for c, _ in instance.children}
+    replay = Replay(instance, trace)
+    # Rank after the daycare's last change this attempt; the rosters only
+    # change at the daycares a move touches, and start the attempt empty.
+    last_rank: dict[str, int] = {}
     increased_at: list[dict] = []
-    for k, event in enumerate(trace):
+    for k, (event, moves) in enumerate(replay):
         kind = event["kind"]
         if kind == "attempt":
-            rosters = {d: set() for d in quotas}
-            assign = {c: DUMMY_ID for c, _ in instance.children}
-            increased_at = []
-        elif kind == "place":
-            touched = {d for _, d, _ in event["evicted"]}
-            touched |= {d for d in event["placed"].values() if d != DUMMY_ID}
-            touched |= {
-                assign[c] for c in event["placed"] if assign[c] != DUMMY_ID
-            }
-            before = {d: rank_of(d, rosters[d]) for d in touched}
-            for child, daycare, _ in event["evicted"]:
-                rosters[daycare].discard(child)
-                assign[child] = DUMMY_ID
-            for child, daycare in event["placed"].items():
-                prev = assign[child]
-                if prev != DUMMY_ID:
-                    rosters[prev].discard(child)
-                if daycare != DUMMY_ID:
-                    rosters[daycare].add(child)
-                assign[child] = daycare
-            for d in touched:
-                if rank_of(d, rosters[d]) > before[d]:
-                    increased_at.append({"event": k, "daycare": d})
+            last_rank, increased_at = {}, []
         elif kind == "success" and increased_at:
             violations.extend(increased_at)
+        touched = dict.fromkeys(d for move in moves for d in move[1:] if d != DUMMY_ID)
+        for d in touched:
+            rank = rank_of(d, replay.rosters[d])
+            if rank > last_rank.get(d, n_plus_one):
+                increased_at.append({"event": k, "daycare": d})
+            last_rank[d] = rank
     return violations
 
 

@@ -247,13 +247,13 @@ def mallows_sample(reference, phi: float, rng) -> list:
 
     Sequential-insertion sampling: the normalising constant is never
     materialised.  ``phi=0`` returns the reference itself; ``phi=1`` is
-    uniform over all permutations.  Runs on the compiled kernel when
-    available.
+    uniform over all permutations.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     items = list(reference.ordering if isinstance(reference, ReferenceOrdering) else reference)
     v = _displacements(len(items), phi, rng)
+    # Looked up on the module at call time so a tracer can wrap it.
     order = _kernels.decode_insertions(v.tolist())
     return [items[r] for r in order]
 

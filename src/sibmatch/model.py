@@ -175,6 +175,8 @@ class Instance:
             path = f"daycares[{dc.id}]"
             if dc.unlimited and dc.id != DUMMY_ID:
                 raise InstanceError(f"{path}.quota: only {DUMMY_ID!r} may be unlimited")
+            if not dc.unlimited and dc.id == DUMMY_ID:
+                raise InstanceError(f"{path}.quota: {DUMMY_ID!r} must be unlimited (null)")
             if dc.quota is not None and dc.quota < 0:
                 raise InstanceError(f"{path}.quota: negative quota {dc.quota}")
             ranks: dict[str, int] = {}
@@ -338,11 +340,14 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise InstanceError(f"$: invalid JSON ({exc})") from exc
     _expect(isinstance(data, Mapping), "$", "expected a JSON object")
-    _expect("families" in data, "$", "missing key 'families'")
-    _expect("daycares" in data, "$", "missing key 'daycares'")
+    for key in ("families", "daycares"):
+        _expect(key in data, "$", f"missing key {key!r}")
+        _expect(isinstance(data[key], list), key, "expected a list")
+    meta = data.get("meta") or {}
+    _expect(isinstance(meta, Mapping), "meta", "expected an object")
 
     families = []
     for idx, raw in enumerate(data["families"]):
@@ -350,6 +355,7 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
         _expect(isinstance(raw, Mapping), path, "expected an object")
         for key in ("id", "children", "preferences"):
             _expect(key in raw, path, f"missing key {key!r}")
+        _expect(isinstance(raw["id"], str), f"{path}.id", "expected a string")
         children = raw["children"]
         _expect(
             isinstance(children, list) and all(isinstance(c, str) for c in children),
@@ -376,6 +382,7 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
         _expect(isinstance(raw, Mapping), path, "expected an object")
         for key in ("id", "quota", "priority"):
             _expect(key in raw, path, f"missing key {key!r}")
+        _expect(isinstance(raw["id"], str), f"{path}.id", "expected a string")
         quota = raw["quota"]
         _expect(
             quota is None or (isinstance(quota, int) and not isinstance(quota, bool)),
@@ -390,7 +397,7 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
         )
         daycares.append(Daycare(id=raw["id"], quota=quota, priority=tuple(priority)))
 
-    return Instance(families, daycares, meta=data.get("meta") or {})
+    return Instance(families, daycares, meta=meta)
 
 
 def instance_to_dict(instance: Instance) -> dict:
@@ -420,11 +427,16 @@ def load_matching(data: bytes | str | Mapping, instance: Instance) -> Matching:
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise MatchingError(f"$: invalid JSON ({exc})") from exc
     if not isinstance(data, Mapping) or "assignment" not in data:
         raise MatchingError("$: expected an object with key 'assignment'")
-    return Matching(instance, data["assignment"])
+    assignment = data["assignment"]
+    if not isinstance(assignment, Mapping) or not all(
+        isinstance(d, str) for d in assignment.values()
+    ):
+        raise MatchingError("assignment: expected an object of daycare ids")
+    return Matching(instance, assignment)
 
 
 def dump_matching(matching: Matching) -> str:

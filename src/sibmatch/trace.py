@@ -26,7 +26,7 @@ Events are plain dicts with a ``"kind"`` key.  Kinds and fields:
 * ``success``: the run produced a matching (terminal).
 
 Replaying the ``place`` events of the final attempt onto the all-unmatched
-assignment reproduces the final matching exactly; :func:`replay_trace`
+assignment reproduces the final matching exactly; :class:`Replay`
 implements that and is property-tested against every algorithm.
 """
 
@@ -35,9 +35,9 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
-from sibmatch.model import DUMMY_ID, Instance, Matching
+from sibmatch.model import DUMMY_ID, Instance, Matching, MatchingError
 
-__all__ = ["ExecutionTrace", "replay_trace"]
+__all__ = ["ExecutionTrace", "Replay", "replay_trace"]
 
 TERMINAL_KINDS = ("repeat", "improvement", "clash", "success")
 
@@ -91,21 +91,64 @@ class ExecutionTrace:
         return cls([json.loads(line) for line in lines])
 
 
-def replay_trace(instance: Instance, trace: ExecutionTrace) -> Matching:
-    """Apply the event log to the all-unmatched assignment.
+Move = tuple[str, str, str]
 
-    Each ``attempt`` event resets the state; ``place`` events move the
-    family's children and push the evicted back to the dummy.  The result
-    equals the matching the traced run produced (for successful runs).
+
+class Replay:
+    """The one replay of an event log onto the all-unmatched assignment.
+
+    Iterating applies the events in order and yields each as
+    ``(event, moves)``: the seat moves ``(child, from, to)`` a ``place``
+    event made (its evictions to the dummy, then its placements), none for
+    other kinds.  ``assignment`` (every child to its daycare) and
+    ``rosters`` (every real daycare to its seated children) hold the state
+    after the event last yielded; each ``attempt`` event resets both.  A
+    move naming a child or daycare the instance lacks raises
+    :class:`MatchingError`.
     """
-    assign = {child: DUMMY_ID for child, _ in instance.children}
-    for event in trace:
-        kind = event["kind"]
-        if kind == "attempt":
-            assign = {child: DUMMY_ID for child, _ in instance.children}
-        elif kind == "place":
-            for child, _, _ in event["evicted"]:
-                assign[child] = DUMMY_ID
-            for child, d in event["placed"].items():
-                assign[child] = d
-    return Matching(instance, assign)
+
+    def __init__(self, instance: Instance, trace: ExecutionTrace):
+        self.instance = instance
+        self.trace = trace
+        self._reset()
+
+    def _reset(self) -> None:
+        self.assignment = {child: DUMMY_ID for child, _ in self.instance.children}
+        self.rosters: dict[str, set[str]] = {
+            d.id: set() for d in self.instance.daycares if d.id != DUMMY_ID
+        }
+
+    def _move(self, child: str, source: str, target: str) -> Move:
+        known = self.instance.daycares_by_id
+        if child not in self.assignment or source not in known or target not in known:
+            raise MatchingError(f"trace: move of {child!r} from {source!r} to {target!r} is unknown")
+        self.assignment[child] = target
+        if source != DUMMY_ID:
+            self.rosters[source].discard(child)
+        if target != DUMMY_ID:
+            self.rosters[target].add(child)
+        return child, source, target
+
+    def __iter__(self) -> Iterator[tuple[dict, list[Move]]]:
+        for event in self.trace:
+            moves: list[Move] = []
+            if event["kind"] == "attempt":
+                self._reset()
+            elif event["kind"] == "place":
+                for child, daycare, _ in event["evicted"]:
+                    moves.append(self._move(child, daycare, DUMMY_ID))
+                for child, daycare in event["placed"].items():
+                    source = self.assignment.get(child, DUMMY_ID)
+                    moves.append(self._move(child, source, daycare))
+            yield event, moves
+
+
+def replay_trace(instance: Instance, trace: ExecutionTrace) -> Matching:
+    """The matching the event log ends on.
+
+    For a successful run this equals the matching the run produced.
+    """
+    replay = Replay(instance, trace)
+    for _ in replay:
+        pass
+    return Matching(instance, replay.assignment)

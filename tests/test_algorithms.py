@@ -194,7 +194,7 @@ def test_success_outputs_feasible_ir_and_replayable():
     successes = 0
     for seed in range(40):
         inst = small_market(seed=seed)
-        for runner in (run_sda, run_esda):
+        for runner in (run_sda, run_esda, run_sc):
             out = runner(inst)
             if not out.succeeded:
                 continue

@@ -15,8 +15,8 @@ from sibmatch.diagnostics import (
     top_dominates,
 )
 from sibmatch.market import MarketConfig, gen_instance
-from sibmatch.model import Family
-from sibmatch.trace import ExecutionTrace
+from sibmatch.model import Family, MatchingError
+from sibmatch.trace import ExecutionTrace, replay_trace
 
 
 def test_interleaved_ordering_all_pairs_nest():
@@ -206,3 +206,12 @@ def test_roster_check_flags_corrupted_trace(restart_mkt):
          "placed": {child: "d0"}, "evicted": []}
     )
     assert roster_monotonicity_violations(restart_mkt, ExecutionTrace(events)) != []
+
+
+def test_replays_reject_a_foreign_trace(restart_mkt):
+    other = gen_instance(MarketConfig(n=40, phi=1.0, alpha=0.5, daycare_ratio=0.3, seed=3))
+    trace = run_esda(other).trace
+    with pytest.raises(MatchingError, match="unknown"):
+        replay_trace(restart_mkt, trace)
+    with pytest.raises(MatchingError, match="unknown"):
+        roster_monotonicity_violations(restart_mkt, trace)

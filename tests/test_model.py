@@ -2,10 +2,13 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from sibmatch.model import (
     DUMMY_ID,
+    Instance,
     InstanceError,
     Matching,
     MatchingError,
@@ -33,6 +36,22 @@ ROTATION_JSON = {
     ],
     "meta": {},
 }
+
+DELETE = object()
+
+
+def mutate(valid, path, value):
+    """A deep copy of ``valid`` with the field at ``path`` set to ``value``
+    (or deleted, for ``DELETE``)."""
+    data = json.loads(json.dumps(valid))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    if value is DELETE:
+        del target[path[-1]]
+    else:
+        target[path[-1]] = value
+    return data
 
 
 def test_load_rotation_market_counts():
@@ -111,6 +130,26 @@ def test_unlimited_quota_only_for_dummy():
     with pytest.raises(InstanceError, match="unlimited"):
         load_instance(bad)
 
+    bad = json.loads(json.dumps(ROTATION_JSON))
+    bad["daycares"][0]["quota"] = 0
+    with pytest.raises(InstanceError, match=r"daycares\[d0\].quota.*unlimited"):
+        load_instance(bad)
+
+
+@pytest.mark.parametrize(
+    "path, value, where",
+    [
+        (("families", 0, "id"), 5, r"families\[0\].id"),
+        (("families",), 5, "families"),
+        (("daycares",), 5, "daycares"),
+        (("daycares", 1, "id"), ["d1"], r"daycares\[1\].id"),
+        (("meta",), [1], "meta"),
+    ],
+)
+def test_load_wrong_types_rejected(path, value, where):
+    with pytest.raises(InstanceError, match=where):
+        load_instance(mutate(ROTATION_JSON, path, value))
+
 
 def test_roundtrip_golden_and_random():
     instances = [
@@ -140,6 +179,9 @@ def test_matching_requires_totality(rotation_mkt):
         Matching(rotation_mkt, {"c1": "d1"})
     with pytest.raises(MatchingError, match="unknown child"):
         load_matching(json.dumps({"assignment": {"cX": "d1"}}), rotation_mkt)
+    for assignment in (5, ["c1"], {"c1": ["d1"]}):
+        with pytest.raises(MatchingError, match="assignment"):
+            load_matching({"assignment": assignment}, rotation_mkt)
 
 
 def test_family_assignment_matched_families(restart_mkt):
@@ -233,3 +275,64 @@ def test_instance_to_dict_stable():
     inst = load_instance(json.dumps(ROTATION_JSON))
     assert instance_to_dict(inst)["families"][0]["id"] == "f1"
     assert dump_instance(inst) == dump_instance(load_instance(dump_instance(inst)))
+
+
+# -- loader totality: every input gives a result or the documented error ------
+
+IDS = st.sampled_from(["d0", "d1", "d3", "c1", "c2", "c6", "f1"])
+SCALARS = st.none() | st.booleans() | st.integers(-2, 3) | st.floats(allow_nan=False)
+JSON_VALUES = st.recursive(
+    SCALARS | IDS | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(IDS | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+VALID_MATCHING = {
+    "assignment": {"c1": "d1", "c2": "d2", "c3": "d0", "c4": "d0", "c5": "d0", "c6": "d0"}
+}
+
+
+def field_paths(value, prefix=()):
+    """Every key or index path into a JSON value, the root excluded."""
+    if isinstance(value, dict):
+        items = value.items()
+    else:
+        items = enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from field_paths(child, prefix + (key,))
+
+
+def assert_total(load, data, result_type, error):
+    for form in (data, json.dumps(data)):
+        try:
+            assert isinstance(load(form), result_type)
+        except error:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=JSON_VALUES)
+def test_load_instance_total_on_any_json(data):
+    assert_total(load_instance, data, Instance, InstanceError)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path=st.sampled_from(list(field_paths(ROTATION_JSON))),
+    value=st.just(DELETE) | JSON_VALUES,
+)
+def test_load_instance_total_on_one_field_mutations(path, value):
+    assert_total(load_instance, mutate(ROTATION_JSON, path, value), Instance, InstanceError)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    path=st.sampled_from(list(field_paths(VALID_MATCHING))),
+    value=st.just(DELETE) | JSON_VALUES,
+    whole=JSON_VALUES,
+)
+def test_load_matching_total(path, value, whole):
+    instance = load_instance(ROTATION_JSON)
+    for data in (whole, mutate(VALID_MATCHING, path, value)):
+        assert_total(lambda d: load_matching(d, instance), data, Matching, MatchingError)
