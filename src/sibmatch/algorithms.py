@@ -17,7 +17,9 @@ re-propose in FIFO order.
 * ``run_sda``: sorted deferred acceptance.  When an insertion displaces a
   sibling family f', the whole pass restarts with the inserting family
   moved directly before f'; seeing the same order twice is fatal.  No
-  improvement check; a successful matching is ABH-stable.
+  improvement check; a successful matching is ABH-stable.  The singleton
+  DA phase ignores the order, so it runs once per run: every attempt
+  starts from a copy of its end state and logs its events again.
 * ``run_esda``: SDA plus a final per-iteration check that the family just
   processed cannot upgrade to a strictly better tuple once its own
   children may hand over their seats; if it can, the run fails rather
@@ -150,6 +152,12 @@ class _Engine:
         self.roster = {d.id: set() for d in self.inst.daycares if d.id != DUMMY_ID}
         self.assign = {child: DUMMY_ID for child, _ in self.inst.children}
         self.pos = {f.id: 0 for f in self.inst.families}
+
+    def restore(self, roster, assign, pos) -> None:
+        """Set the matching state to copies of the given one."""
+        self.roster = {d: set(seated) for d, seated in roster.items()}
+        self.assign = dict(assign)
+        self.pos = dict(pos)
 
     # -- tuple evaluation -------------------------------------------------
 
@@ -319,8 +327,14 @@ def run_da(instance: Instance, scope=None) -> Matching:
 
 def _run_sorted(instance: Instance, improvement: bool) -> AlgorithmOutcome:
     """Shared SDA/ESDA driver; ``improvement`` adds the ESDA check."""
-    trace = ExecutionTrace()
-    engine = _Engine(instance, trace)
+    # The singleton DA phase ignores pi: run it once, and start every
+    # attempt from its end state and its events.
+    engine = _Engine(instance, ExecutionTrace())
+    engine.reset()
+    engine.da_phase(engine.fo_ids)
+    da_events = engine.trace.events
+    da_state = (engine.roster, engine.assign, engine.pos)
+    trace = engine.trace = ExecutionTrace()
     fs = engine.fs_ids
     fs_index = {fid: k for k, fid in enumerate(fs)}
     pi = tuple(range(len(fs)))
@@ -332,8 +346,8 @@ def _run_sorted(instance: Instance, improvement: bool) -> AlgorithmOutcome:
             "attempt", index=attempt_no, pi=_one_based(pi), families=[fs[k] for k in pi]
         )
         attempt_no += 1
-        engine.reset()
-        engine.da_phase(engine.fo_ids)
+        trace.events.extend(da_events)
+        engine.restore(*da_state)
 
         outcome = None
         for position, idx in enumerate(pi):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from sibmatch.algorithms import classify_failure
-from sibmatch.model import DUMMY_ID, Family, Instance
+from sibmatch.model import DUMMY_ID, Family, Instance, MatchingError
 from sibmatch.trace import ExecutionTrace, Replay
 
 __all__ = [
@@ -117,7 +117,8 @@ def extract_chains(instance: Instance, trace: ExecutionTrace) -> list[Chain]:
 
     A placement by a child that was itself displaced earlier extends the
     chain that displaced it; any other placement starts new chains, one
-    per child it evicts.  Chains never span attempts.
+    per child it evicts.  Chains never span attempts.  An eviction naming
+    a child or daycare the instance lacks raises :class:`MatchingError`.
     """
     chains: list[dict] = []
     out: list[Chain] = []
@@ -149,6 +150,15 @@ def extract_chains(instance: Instance, trace: ExecutionTrace) -> list[Chain]:
             inserting = event["family"]
         elif kind == "place":
             for child, daycare, displacer in event["evicted"]:
+                if not (
+                    child in instance.family_of
+                    and displacer in instance.family_of
+                    and daycare in instance.daycares_by_id
+                ):
+                    raise MatchingError(
+                        f"trace: eviction of {child!r} from {daycare!r} "
+                        f"by {displacer!r} names an unknown child or daycare"
+                    )
                 ch = open_chain.pop(displacer, None)
                 if ch is None:
                     ch = {

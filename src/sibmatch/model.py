@@ -125,13 +125,17 @@ class Instance:
         self.meta: dict = dict(meta) if meta else {}
 
         self.families_by_id: dict[str, Family] = {}
-        for fam in self.families:
+        for k, fam in enumerate(self.families):
+            if not isinstance(fam.id, str):
+                raise InstanceError(f"families[{k}].id: expected a string")
             if fam.id in self.families_by_id:
                 raise InstanceError(f"families: duplicate family id {fam.id!r}")
             self.families_by_id[fam.id] = fam
 
         self.daycares_by_id: dict[str, Daycare] = {}
-        for dc in self.daycares:
+        for k, dc in enumerate(self.daycares):
+            if not isinstance(dc.id, str):
+                raise InstanceError(f"daycares[{k}].id: expected a string")
             if dc.id in self.daycares_by_id:
                 raise InstanceError(f"daycares: duplicate daycare id {dc.id!r}")
             self.daycares_by_id[dc.id] = dc
@@ -144,7 +148,9 @@ class Instance:
         for fam in self.families:
             if not fam.children:
                 raise InstanceError(f"families[{fam.id}].children: empty")
-            for child in fam.children:
+            for i, child in enumerate(fam.children):
+                if not isinstance(child, str):
+                    raise InstanceError(f"families[{fam.id}].children[{i}]: expected a string")
                 if child in self.family_of:
                     raise InstanceError(
                         f"families[{fam.id}].children: child {child!r} "
@@ -355,13 +361,8 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
         _expect(isinstance(raw, Mapping), path, "expected an object")
         for key in ("id", "children", "preferences"):
             _expect(key in raw, path, f"missing key {key!r}")
-        _expect(isinstance(raw["id"], str), f"{path}.id", "expected a string")
         children = raw["children"]
-        _expect(
-            isinstance(children, list) and all(isinstance(c, str) for c in children),
-            f"{path}.children",
-            "expected a list of strings",
-        )
+        _expect(isinstance(children, list), f"{path}.children", "expected a list")
         prefs = raw["preferences"]
         _expect(isinstance(prefs, list), f"{path}.preferences", "expected a list")
         tuples = []
@@ -382,7 +383,6 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
         _expect(isinstance(raw, Mapping), path, "expected an object")
         for key in ("id", "quota", "priority"):
             _expect(key in raw, path, f"missing key {key!r}")
-        _expect(isinstance(raw["id"], str), f"{path}.id", "expected a string")
         quota = raw["quota"]
         _expect(
             quota is None or (isinstance(quota, int) and not isinstance(quota, bool)),

@@ -28,6 +28,11 @@ Events are plain dicts with a ``"kind"`` key.  Kinds and fields:
 Replaying the ``place`` events of the final attempt onto the all-unmatched
 assignment reproduces the final matching exactly; :class:`Replay`
 implements that and is property-tested against every algorithm.
+
+Events are read-only.  SDA and ESDA run the singleton DA phase once and
+log its events after every ``attempt`` event, so the DA-phase events of
+all attempts are the same dict objects; changing one would change every
+attempt.  :meth:`ExecutionTrace.from_jsonl` still returns distinct dicts.
 """
 
 from __future__ import annotations
@@ -43,7 +48,11 @@ TERMINAL_KINDS = ("repeat", "improvement", "clash", "success")
 
 
 class ExecutionTrace:
-    """Append-only event log; see the module docstring for the format."""
+    """Append-only event log; see the module docstring for the format.
+
+    An event may appear more than once in ``events`` (the DA-phase events
+    of every SDA/ESDA attempt), so treat events as read-only.
+    """
 
     def __init__(self, events: list[dict] | None = None):
         self.events: list[dict] = list(events) if events else []

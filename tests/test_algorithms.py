@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from sibmatch.algorithms import (
@@ -16,9 +19,9 @@ from sibmatch.algorithms import (
     run_sda,
 )
 from sibmatch.market import MarketConfig, gen_instance
-from sibmatch.model import DUMMY_ID, is_feasible, is_individually_rational
+from sibmatch.model import DUMMY_ID, dump_matching, is_feasible, is_individually_rational
 from sibmatch.stability import is_stable
-from sibmatch.trace import replay_trace
+from sibmatch.trace import ExecutionTrace, replay_trace
 
 
 def small_market(seed: int, n: int = 12, phi: float = 1.0):
@@ -252,9 +255,84 @@ def test_exhausted_family_rests_unmatched():
 
 
 def test_trace_jsonl_roundtrip(restart_mkt):
-    from sibmatch.trace import ExecutionTrace
-
     out = run_esda(restart_mkt)
     text = out.trace.to_jsonl()
     again = ExecutionTrace.from_jsonl(text)
     assert again.events == out.trace.events
+
+
+# -- restarts ------------------------------------------------------------------
+
+# Seeded small markets that take two or more attempts under both SDA and
+# ESDA, with every failure kind among them: (n, seed, algorithm, attempts,
+# failure kind, then the leading 16 hex digits of the sha256 of the trace
+# JSONL and of the dumped matching).  Any change to the engine must keep
+# these bytes.
+PINNED_RUNS = [
+    (12, 200, "esda", 2, TYPE_1A, "a9776a688ec3dafa", None),
+    (12, 200, "sda", 2, TYPE_1A, "a9776a688ec3dafa", None),
+    (16, 28, "esda", 2, IMPROVEMENT_FAILURE, "b83776dcd92505d6", None),
+    (16, 28, "sda", 2, None, "249082b85e8aa59b", "9c6846fc4f95e3b2"),
+    (16, 194, "esda", 4, None, "b3a05e2265228992", "a48a5662b1c7c7f0"),
+    (16, 194, "sda", 4, None, "b3a05e2265228992", "a48a5662b1c7c7f0"),
+    (20, 36, "esda", 4, None, "07827a1a8e9d1624", "f01a752266c4bb9b"),
+    (20, 36, "sda", 4, None, "07827a1a8e9d1624", "f01a752266c4bb9b"),
+    (24, 63, "esda", 3, TYPE_2_PERMUTATION_REPEAT, "f1a6f2ede1a3dcf1", None),
+    (24, 63, "sda", 3, TYPE_2_PERMUTATION_REPEAT, "f1a6f2ede1a3dcf1", None),
+    (30, 9, "esda", 7, TYPE_2_PERMUTATION_REPEAT, "9f9a03ba0d99eafe", None),
+    (30, 9, "sda", 7, TYPE_2_PERMUTATION_REPEAT, "9f9a03ba0d99eafe", None),
+    (30, 45, "esda", 4, TYPE_1B, "d28bd46091e971ba", None),
+    (30, 45, "sda", 4, TYPE_1B, "d28bd46091e971ba", None),
+    (30, 92, "esda", 5, None, "65852e647298f370", "b3a8f631df5419bd"),
+    (30, 92, "sda", 5, None, "65852e647298f370", "b3a8f631df5419bd"),
+]
+RUNNERS = {"esda": run_esda, "sda": run_sda}
+
+
+def sha16(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize(
+    "n, seed, algo, attempts, kind, trace_sha, matching_sha",
+    PINNED_RUNS,
+    ids=[f"n{n}-seed{seed}-{algo}" for n, seed, algo, *_ in PINNED_RUNS],
+)
+def test_multi_attempt_runs_are_byte_identical(n, seed, algo, attempts, kind, trace_sha, matching_sha):
+    out = RUNNERS[algo](small_market(seed, n=n))
+    assert len(out.pi_history) == attempts
+    assert (out.failure.kind if out.failure else None) == kind
+    assert sha16(out.trace.to_jsonl()) == trace_sha
+    assert (sha16(dump_matching(out.matching)) if out.succeeded else None) == matching_sha
+
+
+def test_every_attempt_starts_from_the_da_phase():
+    for n, seed in sorted({(n, seed) for n, seed, *_ in PINNED_RUNS}):
+        inst = small_market(seed, n=n)
+        da = run_da(inst)
+        for runner in RUNNERS.values():
+            attempts = runner(inst).trace.attempts()
+            heads = []
+            for events in attempts:
+                first_insert = next(k for k, e in enumerate(events) if e["kind"] == "insert")
+                heads.append(events[:first_insert])
+                assert replay_trace(inst, ExecutionTrace(heads[-1])) == da
+            assert len(heads) >= 2
+            assert all(head[1:] == heads[0][1:] for head in heads)
+
+
+# Generated markets restart far more often than ``random_instance`` ones
+# (about 13% of runs against 3%), which exercises the restored DA state.
+MARKETS = st.builds(
+    small_market, seed=st.integers(0, 10**6), n=st.integers(8, 30), phi=st.sampled_from((0.5, 1.0))
+) | st.builds(lambda seed: helpers.random_instance(random.Random(seed)), st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=MARKETS)
+def test_sorted_successes_are_stable_and_replayable(inst):
+    for runner, mode in ((run_esda, "ours"), (run_sda, "abh")):
+        out = runner(inst)
+        if out.succeeded:
+            assert is_stable(inst, out.matching, mode)
+            assert replay_trace(inst, out.trace) == out.matching

@@ -215,3 +215,7 @@ def test_replays_reject_a_foreign_trace(restart_mkt):
         replay_trace(restart_mkt, trace)
     with pytest.raises(MatchingError, match="unknown"):
         roster_monotonicity_violations(restart_mkt, trace)
+    with pytest.raises(MatchingError, match="unknown"):
+        extract_chains(restart_mkt, trace)
+    with pytest.raises(MatchingError, match="unknown"):
+        structure_report(restart_mkt, trace)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 import helpers
 from sibmatch.model import (
     DUMMY_ID,
+    Daycare,
+    Family,
     Instance,
     InstanceError,
     Matching,
@@ -149,6 +151,20 @@ def test_unlimited_quota_only_for_dummy():
 def test_load_wrong_types_rejected(path, value, where):
     with pytest.raises(InstanceError, match=where):
         load_instance(mutate(ROTATION_JSON, path, value))
+
+
+@pytest.mark.parametrize(
+    "families, daycares, where",
+    [
+        ([Family(5, ("c1",), ()), Family("f2", ("c2",), ())], [], r"families\[0\].id"),
+        ([Family("f1", ("c1", ("c2",)), ())], [], r"families\[f1\].children\[1\]"),
+        ([Family("f1", ("c1",), ())], [Daycare(None, 1, ())], r"daycares\[1\].id"),
+    ],
+    ids=["family", "child", "daycare"],
+)
+def test_instance_rejects_non_string_ids(families, daycares, where):
+    with pytest.raises(InstanceError, match=where):
+        Instance(families, [Daycare(DUMMY_ID, None, ())] + daycares)
 
 
 def test_roundtrip_golden_and_random():
