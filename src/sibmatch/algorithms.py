@@ -1,12 +1,16 @@
 """The four matching procedures: DA, SC, SDA, and ESDA.
 
-All four share one proposal engine.  Within a pass, a family walks its
-preference list; a tuple is accepted only if every distinct non-dummy
-daycare of the tuple admits all of the family's applicants under the
-greedy choice function, evaluated on the daycare's roster minus the
-family's own children (irrelevant while the family holds no seats, which
-is always the case at proposal time).  Displaced singleton children
-re-propose in FIFO order.
+All four share one proposal engine and its one proposal loop.  A family
+walks its preference list; a tuple is accepted only if every distinct
+non-dummy daycare of the tuple admits all of the family's applicants
+(``Instance.applications``) under the greedy choice function, evaluated
+on the daycare's roster minus the family's own children (irrelevant
+while the family holds no seats, which is always the case at proposal
+time).  The loop proposes queued families in FIFO order and queues every
+displaced singleton family; it stops at the first eviction of a
+sibling-family child.  Deferred acceptance is that loop over the
+singleton families; inserting a sibling family is that loop started
+from the family alone.
 
 * ``run_da``: children-proposing deferred acceptance over single-child
   families only; always succeeds.
@@ -124,15 +128,6 @@ class _ScClash(Exception):
     """Internal control flow for the sequential-couples abort."""
 
 
-def _distinct_daycares(tup: tuple[str, ...]) -> list[str]:
-    """Distinct non-dummy entries of a tuple, first occurrence first."""
-    seen: list[str] = []
-    for d in tup:
-        if d != DUMMY_ID and d not in seen:
-            seen.append(d)
-    return seen
-
-
 class _Engine:
     """Mutable per-run matching state shared by all four procedures."""
 
@@ -144,6 +139,7 @@ class _Engine:
         self.fs_ids: list[str] = list(instance.sibling_families)
         self.fo_ids: list[str] = list(instance.singleton_families)
         self.members = instance.family_members
+        self.applications = instance.applications
         self.roster: dict[str, set[str]] = {}
         self.assign: dict[str, str] = {}
         self.pos: dict[str, int] = {}
@@ -161,27 +157,27 @@ class _Engine:
 
     # -- tuple evaluation -------------------------------------------------
 
-    def eval_tuple(self, fam: Family, tup: tuple[str, ...]):
-        """Run every involved choice function; no state is modified.
+    def eval_tuple(self, fam: Family, j: int):
+        """Run every involved choice function on the family's ``j``-th
+        tuple; no state is modified.
 
-        Returns ``(selections, refusal)``: ``selections`` maps each
-        distinct non-dummy daycare to its choice output when the tuple is
-        acceptable everywhere (refusal None), else ``selections`` is None
-        and ``refusal`` is ``(daycare, refused_children)`` for the first
-        daycare that turned some applicant down.
+        Returns ``(selections, refusal)``: ``selections`` lists the choice
+        output of each entry of ``applications[fam.id][j]`` when the tuple
+        is acceptable everywhere (refusal None), else ``selections`` is
+        None and ``refusal`` is ``(daycare, refused_children)`` for the
+        first daycare that turned some applicant down.
         """
         members = self.members[fam.id]
-        selections: dict[str, set[str]] = {}
-        for d in _distinct_daycares(tup):
-            apps = {c for c, e in zip(fam.children, tup) if e == d}
+        selections: list[set[str]] = []
+        for d, apps, _ in self.applications[fam.id][j]:
             pool = (self.roster[d] - members) | apps
             sel = select(pool, self.rank[d], self.quota[d])
             if not apps <= sel:
                 return None, (d, apps - sel)
-            selections[d] = sel
+            selections.append(sel)
         return selections, None
 
-    def place(self, fam: Family, j: int, tup: tuple[str, ...], selections) -> list:
+    def place(self, fam: Family, j: int, selections) -> list:
         """Commit an accepted tuple; returns evictions in deterministic order.
 
         Eviction order: daycares by first occurrence in the tuple, then
@@ -190,13 +186,13 @@ class _Engine:
         """
         members = self.members[fam.id]
         evicted: list[tuple[str, str, str]] = []
-        for d, sel in selections.items():
-            displacer = next(c for c, e in zip(fam.children, tup) if e == d)
+        for (d, _, displacer), sel in zip(self.applications[fam.id][j], selections):
             out = sorted(self.roster[d] - members - sel, key=self.rank[d].__getitem__)
             evicted.extend((c, d, displacer) for c in out)
         for c, d, _ in evicted:
             self.roster[d].discard(c)
             self.assign[c] = DUMMY_ID
+        tup = fam.preferences[j]
         for child, d in zip(fam.children, tup):
             prev = self.assign[child]
             if prev != DUMMY_ID:
@@ -213,23 +209,22 @@ class _Engine:
         )
         return evicted
 
-    def propose(self, fam: Family, apply_hook=None):
+    def propose(self, fam: Family, apply_hook=None) -> list:
         """Walk the family's list from its pointer until placed or exhausted.
 
-        Returns ``("placed", evictions)`` or ``("exhausted", [])``.  The
+        Returns the evictions of the placement (none if exhausted).  The
         pointer ends one past the accepted tuple, so a later re-proposal
         resumes with daycares not yet examined.  ``apply_hook(fam, d)`` is
         called for every distinct non-dummy daycare of every tried tuple
         before it is evaluated (the SC clash rule lives there).
         """
-        prefs = fam.preferences
-        while self.pos[fam.id] < len(prefs):
+        applications = self.applications[fam.id]
+        while self.pos[fam.id] < len(applications):
             j = self.pos[fam.id]
-            tup = prefs[j]
             if apply_hook is not None:
-                for d in _distinct_daycares(tup):
+                for d, _, _ in applications[j]:
                     apply_hook(fam, d)
-            selections, refusal = self.eval_tuple(fam, tup)
+            selections, refusal = self.eval_tuple(fam, j)
             if selections is None:
                 d, refused = refusal
                 self.trace.append(
@@ -242,35 +237,26 @@ class _Engine:
                 self.pos[fam.id] = j + 1
                 continue
             self.pos[fam.id] = j + 1
-            return "placed", self.place(fam, j, tup, selections)
+            return self.place(fam, j, selections)
         self.trace.append("exhausted", family=fam.id)
-        return "exhausted", []
+        return []
 
     # -- phases -----------------------------------------------------------
 
-    def da_phase(self, scope_ids, apply_hook=None) -> None:
-        """Children-proposing DA over single-child families (FIFO)."""
-        queue = deque(scope_ids)
-        while queue:
-            fam = self.inst.families_by_id[queue.popleft()]
-            _, evictions = self.propose(fam, apply_hook)
-            for child, _, _ in evictions:
-                queue.append(self.inst.family_of[child])
-
-    def stabilize(self, rf: deque, apply_hook=None):
-        """Re-propose displaced singleton families until none remain.
+    def cascade(self, queue: deque, apply_hook=None):
+        """The proposal loop: propose the queued families in FIFO order,
+        queueing every displaced singleton family.
 
         Returns ``(sibling_family_id, eviction)`` the moment a placement
-        evicts a sibling family's child, else None once RF drains.
+        evicts a sibling family's child, else None once the queue drains.
         """
-        while rf:
-            fam = self.inst.families_by_id[rf.popleft()]
-            _, evictions = self.propose(fam, apply_hook)
-            for child, d, displacer in evictions:
-                owner = self.inst.family_of[child]
-                if len(self.inst.families_by_id[owner].children) > 1:
-                    return owner, (child, d, displacer)
-                rf.append(owner)
+        families_by_id, family_of = self.inst.families_by_id, self.inst.family_of
+        while queue:
+            for eviction in self.propose(families_by_id[queue.popleft()], apply_hook):
+                owner = family_of[eviction[0]]
+                if families_by_id[owner].size > 1:
+                    return owner, eviction
+                queue.append(owner)
         return None
 
     def improvable(self, fam: Family) -> int | None:
@@ -280,7 +266,7 @@ class _Engine:
         current = tuple(self.assign[c] for c in fam.children)
         limit = min(fam.tuple_rank(current), len(fam.preferences))
         for j in range(limit):
-            selections, _ = self.eval_tuple(fam, fam.preferences[j])
+            selections, _ = self.eval_tuple(fam, j)
             if selections is not None:
                 return j
         return None
@@ -321,7 +307,7 @@ def run_da(instance: Instance, scope=None) -> Matching:
                 raise ValueError(f"scope: family {fid!r} has {fam.size} children")
     engine = _Engine(instance, ExecutionTrace())
     engine.reset()
-    engine.da_phase(scope_ids)
+    engine.cascade(deque(scope_ids))
     return engine.matching()
 
 
@@ -331,7 +317,7 @@ def _run_sorted(instance: Instance, improvement: bool) -> AlgorithmOutcome:
     # attempt from its end state and its events.
     engine = _Engine(instance, ExecutionTrace())
     engine.reset()
-    engine.da_phase(engine.fo_ids)
+    engine.cascade(deque(engine.fo_ids))
     da_events = engine.trace.events
     da_state = (engine.roster, engine.assign, engine.pos)
     trace = engine.trace = ExecutionTrace()
@@ -353,21 +339,9 @@ def _run_sorted(instance: Instance, improvement: bool) -> AlgorithmOutcome:
         for position, idx in enumerate(pi):
             fam = instance.families_by_id[fs[idx]]
             trace.append("insert", family=fam.id, position=position)
-            displaced = None
-            status, evictions = engine.propose(fam)
-            rf: deque = deque()
-            if status == "placed":
-                for child, d, displacer in evictions:
-                    owner = instance.family_of[child]
-                    if owner in fs_index:
-                        displaced = owner
-                        break
-                    rf.append(owner)
-            if displaced is None:
-                hit = engine.stabilize(rf)
-                if hit is not None:
-                    displaced = hit[0]
-            if displaced is not None:
+            hit = engine.cascade(deque([fam.id]))
+            if hit is not None:
+                displaced = hit[0]
                 new_pi = _reinsert(pi, idx, fs_index[displaced])
                 if new_pi in attempted:
                     trace.append(
@@ -437,11 +411,10 @@ def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
 
     applied_fs: set[str] = set()
 
-    def family_hook(fam: Family, d: str) -> None:
-        applied_fs.add(d)
-
-    def singleton_hook(fam: Family, d: str) -> None:
-        if d in applied_fs:
+    def apply_hook(fam: Family, d: str) -> None:
+        if fam.size > 1:
+            applied_fs.add(d)
+        elif d in applied_fs:
             trace.append(
                 "clash",
                 family=fam.id,
@@ -454,28 +427,21 @@ def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
     trace.append("attempt", index=0, pi=_one_based(pi), families=[fs[k] for k in pi])
     engine.reset()
     try:
-        engine.da_phase(engine.fo_ids)
+        engine.cascade(deque(engine.fo_ids))
         for position, idx in enumerate(pi):
             fam = instance.families_by_id[fs[idx]]
             trace.append("insert", family=fam.id, position=position)
-            status, evictions = engine.propose(fam, apply_hook=family_hook)
-            rf: deque = deque()
-            for child, d, _ in evictions:
-                owner = instance.family_of[child]
-                if len(instance.families_by_id[owner].children) > 1:
-                    trace.append(
-                        "clash",
-                        family=owner,
-                        child=child,
-                        daycare=d,
-                        reason="sibling family displaced",
-                    )
-                    raise _ScClash
-                rf.append(owner)
-            hit = engine.stabilize(rf, apply_hook=singleton_hook)
-            # A displaced singleton cannot evict a sibling-family child
-            # without first applying to its daycare, which clashes.
-            assert hit is None
+            hit = engine.cascade(deque([fam.id]), apply_hook)
+            if hit is not None:
+                owner, (child, d, _) = hit
+                trace.append(
+                    "clash",
+                    family=owner,
+                    child=child,
+                    daycare=d,
+                    reason="sibling family displaced",
+                )
+                raise _ScClash
     except _ScClash:
         return AlgorithmOutcome("failure", None, classify_failure(trace), trace)
     trace.append("success")

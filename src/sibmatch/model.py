@@ -107,11 +107,16 @@ class Daycare:
 class Instance:
     """A validated daycare market.
 
-    Construction checks every model invariant and precomputes the lookup
-    tables used by the stability predicates and the algorithms: family and
-    daycare indexes, the child-to-family map, and per-daycare priority
-    rank maps.  Instances are immutable by convention; all contained
-    collections are tuples.
+    Construction checks every model invariant and the type of every id,
+    quota, priority entry and preference tuple, and precomputes the lookup
+    tables used by the stability predicates, the solver and the
+    algorithms: family and daycare indexes, the child-to-family map,
+    per-daycare priority rank maps, and ``applications[family_id][j]``,
+    the family's ``j``-th preference tuple grouped by daycare: one
+    ``(daycare, applicants, displacer)`` triple per distinct non-dummy
+    daycare, in first-occurrence order, where the displacer is the first
+    applicant in sibling order.  Instances are immutable by convention;
+    all contained collections are tuples.
     """
 
     def __init__(
@@ -160,25 +165,47 @@ class Instance:
                 children.append((child, fam.id))
         self.children: tuple[tuple[str, str], ...] = tuple(children)
 
+        self.applications: dict[str, tuple[tuple, ...]] = {}
         for fam in self.families:
             seen: set[tuple[str, ...]] = set()
+            # one frozenset per distinct applicant group of the family, keyed
+            # by the child for a lone applicant and by itself otherwise
+            groups: dict = {c: frozenset((c,)) for c in fam.children}
+            compiled: list[tuple] = []
             for j, tup in enumerate(fam.preferences):
                 path = f"families[{fam.id}].preferences[{j}]"
+                if not isinstance(tup, tuple):
+                    raise InstanceError(f"{path}: expected a tuple of daycare ids")
                 if len(tup) != len(fam.children):
                     raise InstanceError(
                         f"{path}: tuple length {len(tup)} != "
                         f"family size {len(fam.children)}"
                     )
+                entries: dict[str, tuple[str, frozenset[str], str]] = {}
+                for child, d in zip(fam.children, tup):
+                    if not isinstance(d, str) or d not in self.daycares_by_id:
+                        raise InstanceError(f"{path}: unknown daycare {d!r}")
+                    if d == DUMMY_ID:
+                        continue
+                    entry = entries.get(d)
+                    if entry is None:
+                        entries[d] = (d, groups[child], child)
+                    else:
+                        merged = entry[1] | groups[child]
+                        entries[d] = (d, groups.setdefault(merged, merged), entry[2])
                 if tup in seen:
                     raise InstanceError(f"{path}: duplicate tuple {tup!r}")
                 seen.add(tup)
-                for d in tup:
-                    if d not in self.daycares_by_id:
-                        raise InstanceError(f"{path}: unknown daycare {d!r}")
+                compiled.append(tuple(entries.values()))
+            self.applications[fam.id] = tuple(compiled)
 
         self.rank: dict[str, dict[str, int]] = {}
         for dc in self.daycares:
             path = f"daycares[{dc.id}]"
+            if dc.quota is not None and (
+                not isinstance(dc.quota, int) or isinstance(dc.quota, bool)
+            ):
+                raise InstanceError(f"{path}.quota: expected an integer or null")
             if dc.unlimited and dc.id != DUMMY_ID:
                 raise InstanceError(f"{path}.quota: only {DUMMY_ID!r} may be unlimited")
             if not dc.unlimited and dc.id == DUMMY_ID:
@@ -187,6 +214,8 @@ class Instance:
                 raise InstanceError(f"{path}.quota: negative quota {dc.quota}")
             ranks: dict[str, int] = {}
             for i, child in enumerate(dc.priority):
+                if not isinstance(child, str):
+                    raise InstanceError(f"{path}.priority[{i}]: expected a string")
                 if child in ranks:
                     raise InstanceError(f"{path}.priority: duplicate child {child!r}")
                 if child not in self.family_of:
@@ -367,11 +396,7 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
         _expect(isinstance(prefs, list), f"{path}.preferences", "expected a list")
         tuples = []
         for j, tup in enumerate(prefs):
-            _expect(
-                isinstance(tup, list) and all(isinstance(d, str) for d in tup),
-                f"{path}.preferences[{j}]",
-                "expected a list of daycare ids",
-            )
+            _expect(isinstance(tup, list), f"{path}.preferences[{j}]", "expected a list")
             tuples.append(tuple(tup))
         families.append(
             Family(id=raw["id"], children=tuple(children), preferences=tuple(tuples))
@@ -383,19 +408,9 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
         _expect(isinstance(raw, Mapping), path, "expected an object")
         for key in ("id", "quota", "priority"):
             _expect(key in raw, path, f"missing key {key!r}")
-        quota = raw["quota"]
-        _expect(
-            quota is None or (isinstance(quota, int) and not isinstance(quota, bool)),
-            f"{path}.quota",
-            "expected an integer or null",
-        )
         priority = raw["priority"]
-        _expect(
-            isinstance(priority, list) and all(isinstance(c, str) for c in priority),
-            f"{path}.priority",
-            "expected a list of strings",
-        )
-        daycares.append(Daycare(id=raw["id"], quota=quota, priority=tuple(priority)))
+        _expect(isinstance(priority, list), f"{path}.priority", "expected a list")
+        daycares.append(Daycare(id=raw["id"], quota=raw["quota"], priority=tuple(priority)))
 
     return Instance(families, daycares, meta=meta)
 

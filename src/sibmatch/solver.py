@@ -71,10 +71,13 @@ def find_stable(
     families = sorted(instance.families, key=lambda f: (-f.size, f.id))
     options = []
     for fam in families:
-        opts = [(fam.tuple_rank(t), t) for t in fam.preferences]
-        dummy_rank = fam.tuple_rank(fam.all_dummy)
-        if all(t != fam.all_dummy for _, t in opts):
-            opts.append((dummy_rank, fam.all_dummy))
+        # (rank, tuple, applications); a listed tuple's rank is its index
+        opts = [
+            (j, tup, apps)
+            for j, (tup, apps) in enumerate(zip(fam.preferences, instance.applications[fam.id]))
+        ]
+        if fam.all_dummy not in fam.preferences:
+            opts.append((fam.tuple_rank(fam.all_dummy), fam.all_dummy, ()))
         options.append(opts)
 
     remaining = {
@@ -89,15 +92,11 @@ def find_stable(
     current_rank: dict[str, int] = {f.id: 0 for f in instance.families}
     nodes = 0
 
-    def feasible_option(fam, tup) -> bool:
-        taken: dict[str, int] = {}
-        for child, d in zip(fam.children, tup):
-            if d == DUMMY_ID:
-                continue
-            if not instance.is_acceptable(d, child):
-                return False
-            taken[d] = taken.get(d, 0) + 1
-        return all(remaining[d] >= k for d, k in taken.items())
+    def feasible_option(applications) -> bool:
+        return all(
+            remaining[d] >= len(apps) and all(c in instance.rank[d] for c in apps)
+            for d, apps, _ in applications
+        )
 
     def search(i: int) -> Matching | None:
         nonlocal nodes
@@ -111,8 +110,8 @@ def find_stable(
                 return Matching(instance, assign)
             return None
         fam = families[i]
-        for rank, tup in options[i]:
-            if not feasible_option(fam, tup):
+        for rank, tup, applications in options[i]:
+            if not feasible_option(applications):
                 continue
             for child, d in zip(fam.children, tup):
                 assign[child] = d

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from sibmatch.model import (
     DUMMY_ID,
     Daycare,
-    Family,
     Instance,
     Matching,
     is_feasible,
@@ -34,7 +33,6 @@ __all__ = [
     "MODES",
     "BlockingCoalition",
     "StabilityPreconditionError",
-    "applicants_by_daycare",
     "choice",
     "find_blocking_coalition",
     "is_stable",
@@ -87,19 +85,6 @@ def choice(daycare: Daycare, applicants) -> set[str]:
     return select(applicants, rank, daycare.quota)
 
 
-def applicants_by_daycare(family: Family, tup: tuple[str, ...]) -> dict[str, set[str]]:
-    """Group a family's children by the daycare they apply to under ``tup``.
-
-    Children pointed at the dummy are dropped: they take no seat and face
-    no acceptance condition.
-    """
-    apps: dict[str, set[str]] = {}
-    for child, d in zip(family.children, tup):
-        if d != DUMMY_ID:
-            apps.setdefault(d, set()).add(child)
-    return apps
-
-
 def scan_blocking(
     instance: Instance,
     current_rank: dict[str, int],
@@ -120,10 +105,10 @@ def scan_blocking(
         if limit == 0:
             continue
         members = instance.family_members[fam.id]
+        applications = instance.applications[fam.id]
         for j in range(limit):
-            tup = fam.preferences[j]
             accepted: dict[str, frozenset[str]] = {}
-            for d, apps in applicants_by_daycare(fam, tup).items():
+            for d, apps, _ in applications[j]:
                 pool = set(rosters.get(d, empty))
                 if ours:
                     pool -= members

@@ -266,8 +266,12 @@ def test_trace_jsonl_roundtrip(restart_mkt):
 # Seeded small markets that take two or more attempts under both SDA and
 # ESDA, with every failure kind among them: (n, seed, algorithm, attempts,
 # failure kind, then the leading 16 hex digits of the sha256 of the trace
-# JSONL and of the dumped matching).  Any change to the engine must keep
-# these bytes.
+# JSONL and of the dumped matching).  The SC rows run the same markets in
+# id order ("sc") and in reverse order ("sc-reversed"); their clashes name
+# both reasons, "application to a daycare..." (n12-seed200, n16-seed194,
+# n30-seed9, n30-seed92, and n24-seed63 reversed) and "sibling family
+# displaced" (n16-seed28, n20-seed36, n24-seed63, n30-seed45).  Any change
+# to the engine must keep these bytes.
 PINNED_RUNS = [
     (12, 200, "esda", 2, TYPE_1A, "a9776a688ec3dafa", None),
     (12, 200, "sda", 2, TYPE_1A, "a9776a688ec3dafa", None),
@@ -285,8 +289,37 @@ PINNED_RUNS = [
     (30, 45, "sda", 4, TYPE_1B, "d28bd46091e971ba", None),
     (30, 92, "esda", 5, None, "65852e647298f370", "b3a8f631df5419bd"),
     (30, 92, "sda", 5, None, "65852e647298f370", "b3a8f631df5419bd"),
+    (12, 200, "sc", 1, SC_APPLICATION_CLASH, "c7c9496b90458fb9", None),
+    (16, 28, "sc", 1, SC_APPLICATION_CLASH, "58982151679d8e26", None),
+    (16, 28, "sc-reversed", 1, None, "504f1a14cf2c16fd", "9c6846fc4f95e3b2"),
+    (16, 194, "sc", 1, SC_APPLICATION_CLASH, "a73fe54b3d4a628a", None),
+    (16, 194, "sc-reversed", 1, None, "f17ebd8e05d3e6ad", "a48a5662b1c7c7f0"),
+    (20, 36, "sc", 1, SC_APPLICATION_CLASH, "62c3f5390e7dd55c", None),
+    (20, 36, "sc-reversed", 1, None, "f7d940f1f0ff5a8b", "f01a752266c4bb9b"),
+    (24, 63, "sc", 1, SC_APPLICATION_CLASH, "e3e878497ddc858d", None),
+    (24, 63, "sc-reversed", 1, SC_APPLICATION_CLASH, "d08e30a66bf57269", None),
+    (30, 9, "sc", 1, SC_APPLICATION_CLASH, "c0c5b8b9c9a3ef05", None),
+    (30, 45, "sc", 1, SC_APPLICATION_CLASH, "2eba0db40ffa71cb", None),
+    (30, 92, "sc", 1, SC_APPLICATION_CLASH, "28a6b1785a3db658", None),
 ]
-RUNNERS = {"esda": run_esda, "sda": run_sda}
+RUNNERS = {
+    "esda": run_esda,
+    "sda": run_sda,
+    "sc": run_sc,
+    "sc-reversed": lambda inst: run_sc(inst, pi=range(len(inst.sibling_families))[::-1]),
+}
+# run_da matchings on the same markets, as (n, seed): leading 16 hex digits
+# of the sha256 of the dumped matching.
+PINNED_DA = {
+    (12, 200): "3155f65dbf54a91b",
+    (16, 28): "6c23878bac80e381",
+    (16, 194): "32a91aac3c6a5563",
+    (20, 36): "2d329cafe4f0bc45",
+    (24, 63): "37283f73c81dcd1d",
+    (30, 9): "10410c45c5fb91f5",
+    (30, 45): "899d5f84026695fa",
+    (30, 92): "182b3b3944014925",
+}
 
 
 def sha16(text: str) -> str:
@@ -306,11 +339,16 @@ def test_multi_attempt_runs_are_byte_identical(n, seed, algo, attempts, kind, tr
     assert (sha16(dump_matching(out.matching)) if out.succeeded else None) == matching_sha
 
 
+@pytest.mark.parametrize("n, seed", sorted(PINNED_DA), ids=[f"n{n}-seed{seed}" for n, seed in sorted(PINNED_DA)])
+def test_da_matchings_are_byte_identical(n, seed):
+    assert sha16(dump_matching(run_da(small_market(seed, n=n)))) == PINNED_DA[n, seed]
+
+
 def test_every_attempt_starts_from_the_da_phase():
     for n, seed in sorted({(n, seed) for n, seed, *_ in PINNED_RUNS}):
         inst = small_market(seed, n=n)
         da = run_da(inst)
-        for runner in RUNNERS.values():
+        for runner in (run_esda, run_sda):
             attempts = runner(inst).trace.attempts()
             heads = []
             for events in attempts:
@@ -336,3 +374,33 @@ def test_sorted_successes_are_stable_and_replayable(inst):
         if out.succeeded:
             assert is_stable(inst, out.matching, mode)
             assert replay_trace(inst, out.trace) == out.matching
+
+
+def reference_applications(fam, tup):
+    """Group a tuple's non-dummy entries by daycare, first occurrence first;
+    the displacer is the first applicant in sibling order."""
+    groups: dict[str, list[str]] = {}
+    for child, d in zip(fam.children, tup):
+        if d != DUMMY_ID:
+            groups.setdefault(d, []).append(child)
+    return tuple((d, frozenset(children), children[0]) for d, children in groups.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(inst=MARKETS)
+def test_applications_match_the_reference_grouping(inst):
+    for fam in inst.families:
+        assert inst.applications[fam.id] == tuple(
+            reference_applications(fam, tup) for tup in fam.preferences
+        )
+
+
+def test_applications_of_a_repeated_daycare_and_a_dummy_slot():
+    inst = helpers.make_instance(
+        [("f1", ["c1", "c2", "c3"], [["d1", "d0", "d1"], ["d2", "d1", "d2"]])],
+        [("d1", 2, ["c1", "c2", "c3"]), ("d2", 2, ["c1", "c3"])],
+    )
+    first, second = inst.applications["f1"]
+    assert first == (("d1", frozenset({"c1", "c3"}), "c1"),)
+    assert second == (("d2", frozenset({"c1", "c3"}), "c1"), ("d1", frozenset({"c2"}), "c2"))
+    assert first[0][1] is second[0][1]

@@ -167,6 +167,26 @@ def test_instance_rejects_non_string_ids(families, daycares, where):
         Instance(families, [Daycare(DUMMY_ID, None, ())] + daycares)
 
 
+ONE_CHILD = [Family("f1", ("c1",), ())]
+
+
+@pytest.mark.parametrize(
+    "families, daycares, where",
+    [
+        (ONE_CHILD, [Daycare("d1", 1, (["c1"],))], r"daycares\[d1\].priority\[0\]"),
+        (ONE_CHILD, [Daycare("d1", "2", ("c1",))], r"daycares\[d1\].quota"),
+        (ONE_CHILD, [Daycare("d1", True, ("c1",))], r"daycares\[d1\].quota"),
+        (ONE_CHILD, [Daycare("d1", 1.5, ("c1",))], r"daycares\[d1\].quota"),
+        ([Family("f1", ("c1",), (["d0"],))], [], r"families\[f1\].preferences\[0\]"),
+        ([Family("f1", ("c1",), ((["d0"],),))], [], r"families\[f1\].preferences\[0\]"),
+    ],
+    ids=["priority-list", "quota-str", "quota-bool", "quota-float", "tuple-list", "daycare-list"],
+)
+def test_instance_rejects_wrong_field_types(families, daycares, where):
+    with pytest.raises(InstanceError, match=where):
+        Instance(families, [Daycare(DUMMY_ID, None, ())] + daycares)
+
+
 def test_roundtrip_golden_and_random():
     instances = [
         helpers.seat_transfer_market(),
