@@ -222,18 +222,16 @@ def gen_reference_ordering(
     return ReferenceOrdering(ordering, grouped)
 
 
-def _displacements(n: int, phi: float, rng) -> np.ndarray:
-    """Per-item insertion displacements of a Mallows draw.
+def _displacements(n: int, phi: float, rng, count: int) -> np.ndarray:
+    """Per-item insertion displacements of ``count`` Mallows draws, one row each.
 
     Item i jumps ahead of v_i previously placed items, v_i in {0..i} with
     Pr[v_i = k] proportional to phi**k; total inversions = sum(v).
-    Sampled by inverting the truncated geometric CDF.
+    Sampled by inverting the truncated geometric CDF; needs
+    ``0 < phi <= 1``.  The one ``rng.random((count, n))`` call consumes
+    the generator exactly as ``count`` calls of ``rng.random(n)`` do.
     """
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    if phi == 0.0:
-        return np.zeros(n, dtype=np.int64)
-    u = rng.random(n)
+    u = rng.random((count, n))
     i = np.arange(n, dtype=np.int64)
     if phi == 1.0:
         return np.minimum((u * (i + 1)).astype(np.int64), i)
@@ -242,20 +240,32 @@ def _displacements(n: int, phi: float, rng) -> np.ndarray:
     return np.clip(v, 0, i)
 
 
-def mallows_sample(reference, phi: float, rng) -> list:
+def mallows_sample(reference, phi: float, rng, size: int | None = None) -> list:
     """Exact Mallows draw around a reference ordering.
 
     Sequential-insertion sampling: the normalising constant is never
-    materialised.  ``phi=0`` returns the reference itself; ``phi=1`` is
-    uniform over all permutations.
+    materialised.  ``phi=0`` returns a copy of the reference without
+    touching ``rng``; ``phi=1`` is uniform over all permutations.
+
+    ``size`` follows numpy's convention: ``None`` returns one draw (a
+    list), an integer ``k`` returns a list of ``k`` draws equal to ``k``
+    successive single draws from the same generator, and leaves the
+    generator in the same state.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
+    if size is not None and size < 0:
+        raise ValueError("size must be >= 0")
     items = list(reference.ordering if isinstance(reference, ReferenceOrdering) else reference)
-    v = _displacements(len(items), phi, rng)
-    # Looked up on the module at call time so a tracer can wrap it.
-    order = _kernels.decode_insertions(v.tolist())
-    return [items[r] for r in order]
+    count = 1 if size is None else size
+    if phi == 0.0:
+        draws = [items.copy() for _ in range(count)]
+    else:
+        rows = _displacements(len(items), phi, rng, count).tolist()
+        # Looked up on the module at call time so a tracer can wrap it.
+        decode = _kernels.decode_insertions
+        draws = [list(map(items.__getitem__, decode(row))) for row in rows]
+    return draws[0] if size is None else draws
 
 
 def kendall_tau(a: Sequence, b: Sequence) -> int:
@@ -273,6 +283,28 @@ def kendall_tau(a: Sequence, b: Sequence) -> int:
 
 def _unit_id(phys: str, age: int) -> str:
     return f"{phys}-a{age}"
+
+
+def _gen_daycares(phys, reference, ages, cfg: MarketConfig, rng) -> list[Daycare]:
+    """The dummy, then one unit per physical daycare and age group.
+
+    One Mallows call per physical daycare draws the priorities of all its
+    units; each unit keeps the children of its age group.  The per-age
+    sets and the draws are freed on return, before ``Instance`` builds
+    its tables.
+    """
+    of_age: list[set[str]] = [set() for _ in cfg.capacity_profile]
+    for c, a in ages.items():
+        of_age[a].add(c)
+    daycares = [Daycare(id=DUMMY_ID, quota=None, priority=())]
+    for p in phys:
+        draws = mallows_sample(reference, cfg.phi, rng, size=len(of_age))
+        for age, draw in enumerate(draws):
+            priority = tuple(filter(of_age[age].__contains__, draw))
+            daycares.append(
+                Daycare(id=_unit_id(p, age), quota=cfg.capacity_profile[age], priority=priority)
+            )
+    return daycares
 
 
 def gen_instance(cfg: MarketConfig) -> Instance:
@@ -323,14 +355,7 @@ def gen_instance(cfg: MarketConfig) -> Instance:
 
     reference = gen_reference_ordering(families, cfg.n, cfg.epsilon, rng)
 
-    daycares: list[Daycare] = [Daycare(id=DUMMY_ID, quota=None, priority=())]
-    for p in phys:
-        for age in range(num_ages):
-            draw = mallows_sample(reference, cfg.phi, rng)
-            priority = tuple(c for c in draw if ages[c] == age)
-            daycares.append(
-                Daycare(id=_unit_id(p, age), quota=cfg.capacity_profile[age], priority=priority)
-            )
+    daycares = _gen_daycares(phys, reference, ages, cfg, rng)
 
     meta = {
         "generator": {**asdict(cfg), "capacity_profile": list(cfg.capacity_profile)},

@@ -107,8 +107,9 @@ class Daycare:
 class Instance:
     """A validated daycare market.
 
-    Construction checks every model invariant and the type of every id,
-    quota, priority entry and preference tuple, and precomputes the lookup
+    Construction checks every model invariant and the type of every
+    container, id, quota, priority entry and preference tuple (raising
+    :class:`InstanceError` naming the path), and precomputes the lookup
     tables used by the stability predicates, the solver and the
     algorithms: family and daycare indexes, the child-to-family map,
     per-daycare priority rank maps, and ``applications[family_id][j]``,
@@ -125,12 +126,19 @@ class Instance:
         daycares: Iterable[Daycare],
         meta: Mapping | None = None,
     ):
+        for name, value in (("families", families), ("daycares", daycares)):
+            if not isinstance(value, Iterable):
+                raise InstanceError(f"{name}: expected an iterable")
+        if meta is not None and not isinstance(meta, Mapping):
+            raise InstanceError("meta: expected a mapping")
         self.families: tuple[Family, ...] = tuple(families)
         self.daycares: tuple[Daycare, ...] = tuple(daycares)
         self.meta: dict = dict(meta) if meta else {}
 
         self.families_by_id: dict[str, Family] = {}
         for k, fam in enumerate(self.families):
+            if not isinstance(fam, Family):
+                raise InstanceError(f"families[{k}]: expected a Family")
             if not isinstance(fam.id, str):
                 raise InstanceError(f"families[{k}].id: expected a string")
             if fam.id in self.families_by_id:
@@ -139,6 +147,8 @@ class Instance:
 
         self.daycares_by_id: dict[str, Daycare] = {}
         for k, dc in enumerate(self.daycares):
+            if not isinstance(dc, Daycare):
+                raise InstanceError(f"daycares[{k}]: expected a Daycare")
             if not isinstance(dc.id, str):
                 raise InstanceError(f"daycares[{k}].id: expected a string")
             if dc.id in self.daycares_by_id:
@@ -151,6 +161,9 @@ class Instance:
         self.family_of: dict[str, str] = {}
         children: list[tuple[str, str]] = []
         for fam in self.families:
+            for attr in ("children", "preferences"):
+                if not isinstance(getattr(fam, attr), tuple):
+                    raise InstanceError(f"families[{fam.id}].{attr}: expected a tuple")
             if not fam.children:
                 raise InstanceError(f"families[{fam.id}].children: empty")
             for i, child in enumerate(fam.children):
@@ -212,6 +225,8 @@ class Instance:
                 raise InstanceError(f"{path}.quota: {DUMMY_ID!r} must be unlimited (null)")
             if dc.quota is not None and dc.quota < 0:
                 raise InstanceError(f"{path}.quota: negative quota {dc.quota}")
+            if not isinstance(dc.priority, tuple):
+                raise InstanceError(f"{path}.priority: expected a tuple")
             ranks: dict[str, int] = {}
             for i, child in enumerate(dc.priority):
                 if not isinstance(child, str):

@@ -21,11 +21,26 @@ def test_backend_identifier():
     assert _kernels.BACKEND == "python"
 
 
+def long_rows(rng):
+    """Rows long enough to reach both decode containers.
+
+    Uniform displacements shift about n/4 items per insert (the array
+    path once n > 800); displacements of at most 3 shift about 1.5 (the
+    list path).
+    """
+    for n in (1000, 1777, 2500):
+        uniform = [rng.randrange(0, i + 1) for i in range(n)]
+        small = [rng.randrange(0, min(i, 3) + 1) for i in range(n)]
+        assert sum(uniform) > 200 * n and sum(small) <= 200 * n
+        yield uniform
+        yield small
+
+
 def test_decode_matches_fallback_and_brute():
     rng = random.Random(1)
-    for _ in range(300):
-        n = rng.randrange(0, 60)
-        v = [rng.randrange(0, i + 1) for i in range(n)]
+    rows = [[rng.randrange(0, i + 1) for i in range(rng.randrange(0, 60))] for _ in range(300)]
+    rows += long_rows(rng)
+    for v in rows:
         expect = brute_decode(v)
         assert _kernels.decode_insertions(v) == expect
 
@@ -44,6 +59,17 @@ def test_decode_rejects_bad_displacement():
         _kernels.decode_insertions([0, 2])
     with pytest.raises(ValueError):
         _kernels.decode_insertions([-1])
+    # the same bad entry in a row that takes the array path (full reversal,
+    # mean shift ~n/2) and in one that takes the list path (all zeros)
+    n = 1000
+    for bad in (n, -1):
+        messages = []
+        for v in (list(range(n)), [0] * n):
+            v[700] = bad
+            with pytest.raises(ValueError) as err:
+                _kernels.decode_insertions(v)
+            messages.append(str(err.value))
+        assert messages == [f"displacement {bad} out of range at index 700"] * 2
 
 
 def test_count_inversions_matches():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -215,6 +216,19 @@ def test_mallows_adjacent_swap_mass_ratio():
     assert abs(ratio - 0.5) < 0.02
 
 
+@pytest.mark.parametrize("phi", [0.0, 0.5, 1.0])
+def test_mallows_size_equals_successive_single_draws(phi):
+    ref = ReferenceOrdering(tuple(f"c{i}" for i in range(40)))
+    batched, single = rng_of(17), rng_of(17)
+    draws = mallows_sample(ref, phi, batched, size=6)
+    assert draws == [mallows_sample(ref, phi, single) for _ in range(6)]
+    assert batched.bit_generator.state == single.bit_generator.state
+    assert mallows_sample(ref, phi, batched, size=0) == []
+    assert batched.bit_generator.state == single.bit_generator.state
+    with pytest.raises(ValueError):
+        mallows_sample(ref, phi, batched, size=-1)
+
+
 # -- Kendall tau ----------------------------------------------------------------
 
 
@@ -315,6 +329,38 @@ def test_gen_instance_deterministic():
     assert a == b
     c = dump_instance(gen_instance(MarketConfig(n=120, phi=0.7, seed=7)))
     assert a != c
+
+
+# sha256 of dump_instance(gen_instance(cfg)); a change to any generated byte,
+# or to how the generator consumes its random stream, changes these
+PINNED_MARKETS = [
+    (MarketConfig(n=500, phi=0.0, seed=1), "68d764077d44da42458ba08560ea15daed4ca37a5fe49596b67a5f7db7d1bb2a"),
+    (MarketConfig(n=500, phi=0.5, seed=2), "df2d8a30bc740a7dbb5c515d34d4c77c498e6e8d0073dcc93849c9b0c4831e87"),
+    (MarketConfig(n=500, phi=1.0, seed=3), "3d3ae2a1a21cbce516e4f83bd1c7759c1540bf351251f7ae5092825cf3e066c8"),
+    # mean displacement ~n/4 = 300 per insert: the decode's array path
+    (MarketConfig(n=1200, phi=1.0, seed=4), "14989cce04db619435fa4c91717b0d8c5c87ee95b74a5377a96b1f74c99b17ed"),
+    # two markets of the criterion-3 oracle set (k = 0 and 1)
+    (
+        MarketConfig(n=6, phi=0.3, alpha=0.4, L=2, sigma=2.0, daycare_ratio=0.5,
+                     sibling_pref_length=3, joint_pref_length=4, seed=10_000),
+        "6727d01b1825c5066b085ccdb21a7b9a6ea36bce8db92dae7133e6ac5a0c11cb",
+    ),
+    (
+        MarketConfig(n=7, phi=1.0, alpha=0.4, L=2, sigma=2.0, daycare_ratio=0.5,
+                     sibling_pref_length=3, joint_pref_length=4, seed=10_001),
+        "9490456570d316dd9c14b24c9512e36247844c3047e3d47d792f5327a333012b",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, digest",
+    PINNED_MARKETS,
+    ids=["n500-phi0", "n500-phi0.5", "n500-phi1", "n1200-phi1", "oracle-0", "oracle-1"],
+)
+def test_gen_instance_bytes_are_pinned(cfg, digest):
+    text = dump_instance(gen_instance(cfg))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_gen_instance_metadata_block():

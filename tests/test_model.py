@@ -171,20 +171,31 @@ ONE_CHILD = [Family("f1", ("c1",), ())]
 
 
 @pytest.mark.parametrize(
-    "families, daycares, where",
+    "families, daycares, meta, where",
     [
-        (ONE_CHILD, [Daycare("d1", 1, (["c1"],))], r"daycares\[d1\].priority\[0\]"),
-        (ONE_CHILD, [Daycare("d1", "2", ("c1",))], r"daycares\[d1\].quota"),
-        (ONE_CHILD, [Daycare("d1", True, ("c1",))], r"daycares\[d1\].quota"),
-        (ONE_CHILD, [Daycare("d1", 1.5, ("c1",))], r"daycares\[d1\].quota"),
-        ([Family("f1", ("c1",), (["d0"],))], [], r"families\[f1\].preferences\[0\]"),
-        ([Family("f1", ("c1",), ((["d0"],),))], [], r"families\[f1\].preferences\[0\]"),
+        (ONE_CHILD, [Daycare("d1", 1, (["c1"],))], None, r"daycares\[d1\].priority\[0\]"),
+        (ONE_CHILD, [Daycare("d1", "2", ("c1",))], None, r"daycares\[d1\].quota"),
+        (ONE_CHILD, [Daycare("d1", True, ("c1",))], None, r"daycares\[d1\].quota"),
+        (ONE_CHILD, [Daycare("d1", 1.5, ("c1",))], None, r"daycares\[d1\].quota"),
+        ([Family("f1", ("c1",), (["d0"],))], [], None, r"families\[f1\].preferences\[0\]"),
+        ([Family("f1", ("c1",), ((["d0"],),))], [], None, r"families\[f1\].preferences\[0\]"),
+        ([Family("f1", ("c1",), None)], [], None, r"families\[f1\].preferences: expected a tuple"),
+        ([Family("f1", 5, ())], [], None, r"families\[f1\].children: expected a tuple"),
+        (ONE_CHILD, [Daycare("d1", 1, None)], None, r"daycares\[d1\].priority: expected a tuple"),
+        (["f1"], [], None, r"families\[0\]: expected a Family"),
+        (ONE_CHILD, ["d1"], None, r"daycares\[1\]: expected a Daycare"),
+        (ONE_CHILD, [], [1], r"meta: expected a mapping"),
+        (None, [], None, r"families: expected an iterable"),
     ],
-    ids=["priority-list", "quota-str", "quota-bool", "quota-float", "tuple-list", "daycare-list"],
+    ids=[
+        "priority-list", "quota-str", "quota-bool", "quota-float", "tuple-list", "daycare-list",
+        "preferences-none", "children-int", "priority-none", "family-str", "daycare-str",
+        "meta-list", "families-none",
+    ],
 )
-def test_instance_rejects_wrong_field_types(families, daycares, where):
+def test_instance_rejects_wrong_field_types(families, daycares, meta, where):
     with pytest.raises(InstanceError, match=where):
-        Instance(families, [Daycare(DUMMY_ID, None, ())] + daycares)
+        Instance(families, [Daycare(DUMMY_ID, None, ())] + daycares, meta=meta)
 
 
 def test_roundtrip_golden_and_random():
