@@ -1,16 +1,16 @@
 """The four matching procedures: DA, SC, SDA, and ESDA.
 
 All four share one proposal engine and its one proposal loop.  A family
-walks its preference list; a tuple is accepted only if every distinct
-non-dummy daycare of the tuple admits all of the family's applicants
-(``Instance.applications``) under the greedy choice function, evaluated
-on the daycare's roster minus the family's own children (irrelevant
-while the family holds no seats, which is always the case at proposal
-time).  The loop proposes queued families in FIFO order and queues every
-displaced singleton family; it stops at the first eviction of a
-sibling-family child.  Deferred acceptance is that loop over the
-singleton families; inserting a sibling family is that loop started
-from the family alone.
+walks its preference list; a tuple is accepted only if no distinct
+non-dummy daycare of the tuple refuses any of the family's applicants
+(``Instance.applications``) under ``stability.select``, which also names
+the seated children the placement evicts.  The family's own children do
+not count as seated (irrelevant while the family holds no seats, which is
+always the case at proposal time).  The loop proposes queued families in
+FIFO order and queues every displaced singleton family; it stops at the
+first eviction of a sibling-family child.  Deferred acceptance is that
+loop over the singleton families; inserting a sibling family is that loop
+started from the family alone.
 
 * ``run_da``: children-proposing deferred acceptance over single-child
   families only; always succeeds.
@@ -24,10 +24,11 @@ from the family alone.
   improvement check; a successful matching is ABH-stable.  The singleton
   DA phase ignores the order, so it runs once per run: every attempt
   starts from a copy of its end state and logs its events again.
-* ``run_esda``: SDA plus a final per-iteration check that the family just
-  processed cannot upgrade to a strictly better tuple once its own
-  children may hand over their seats; if it can, the run fails rather
-  than return an unstable matching.  A successful matching is stable.
+* ``run_esda``: SDA plus a final per-iteration check, the verifier's
+  blocking test for the family just processed: could it upgrade to a
+  strictly better tuple once its own children hand over their seats?  If
+  so, the run fails rather than return an unstable matching.  A
+  successful matching is stable.
 
 Failures are classified from the trace: a displacement chain returning to
 the inserting family itself is type-1-a (same child) or type-1-b (a
@@ -40,7 +41,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from sibmatch.model import DUMMY_ID, Family, Instance, Matching
-from sibmatch.stability import select
+from sibmatch.stability import blocking_coalition_of, select
 from sibmatch.trace import ExecutionTrace
 
 TYPE_1A = "type-1a"
@@ -161,34 +162,24 @@ class _Engine:
         """Run every involved choice function on the family's ``j``-th
         tuple; no state is modified.
 
-        Returns ``(selections, refusal)``: ``selections`` lists the choice
-        output of each entry of ``applications[fam.id][j]`` when the tuple
-        is acceptable everywhere (refusal None), else ``selections`` is
-        None and ``refusal`` is ``(daycare, refused_children)`` for the
-        first daycare that turned some applicant down.
+        Returns ``(evictions, None)`` if no daycare refuses an applicant,
+        else ``(None, (daycare, refused_children))`` for the first that
+        does.  Evictions are ``(child, daycare, displacer)``, daycares by
+        first occurrence in the tuple, then children by priority rank;
+        the displacer is the family child that applied to the daycare.
         """
         members = self.members[fam.id]
-        selections: list[set[str]] = []
-        for d, apps, _ in self.applications[fam.id][j]:
-            pool = (self.roster[d] - members) | apps
-            sel = select(pool, self.rank[d], self.quota[d])
-            if not apps <= sel:
-                return None, (d, apps - sel)
-            selections.append(sel)
-        return selections, None
+        evictions: list[tuple[str, str, str]] = []
+        for d, apps, displacer in self.applications[fam.id][j]:
+            refused, evicted = select(self.roster[d] - members, apps, self.rank[d], self.quota[d])
+            if refused:
+                return None, (d, refused)
+            evictions.extend((c, d, displacer) for c in evicted)
+        return evictions, None
 
-    def place(self, fam: Family, j: int, selections) -> list:
-        """Commit an accepted tuple; returns evictions in deterministic order.
-
-        Eviction order: daycares by first occurrence in the tuple, then
-        children by priority rank.  Each eviction records the family
-        child whose application to that daycare displaced it.
-        """
-        members = self.members[fam.id]
-        evicted: list[tuple[str, str, str]] = []
-        for (d, _, displacer), sel in zip(self.applications[fam.id][j], selections):
-            out = sorted(self.roster[d] - members - sel, key=self.rank[d].__getitem__)
-            evicted.extend((c, d, displacer) for c in out)
+    def place(self, fam: Family, j: int, evicted) -> list:
+        """Commit an accepted tuple and the evictions ``eval_tuple``
+        computed for it; returns the evictions."""
         for c, d, _ in evicted:
             self.roster[d].discard(c)
             self.assign[c] = DUMMY_ID
@@ -224,8 +215,8 @@ class _Engine:
             if apply_hook is not None:
                 for d, _, _ in applications[j]:
                     apply_hook(fam, d)
-            selections, refusal = self.eval_tuple(fam, j)
-            if selections is None:
+            evicted, refusal = self.eval_tuple(fam, j)
+            if evicted is None:
                 d, refused = refusal
                 self.trace.append(
                     "reject",
@@ -237,7 +228,7 @@ class _Engine:
                 self.pos[fam.id] = j + 1
                 continue
             self.pos[fam.id] = j + 1
-            return self.place(fam, j, selections)
+            return self.place(fam, j, evicted)
         self.trace.append("exhausted", family=fam.id)
         return []
 
@@ -261,15 +252,11 @@ class _Engine:
 
     def improvable(self, fam: Family) -> int | None:
         """First strictly better tuple the family could take with seat
-        transfer, or None.  This is the blocking condition restricted to
-        one family against the current rosters."""
-        current = tuple(self.assign[c] for c in fam.children)
-        limit = min(fam.tuple_rank(current), len(fam.preferences))
-        for j in range(limit):
-            selections, _ = self.eval_tuple(fam, j)
-            if selections is not None:
-                return j
-        return None
+        transfer, or None: the blocking test of mode ``"ours"`` restricted
+        to this family against the current rosters."""
+        current = fam.tuple_rank(tuple(self.assign[c] for c in fam.children))
+        witness = blocking_coalition_of(self.inst, fam, current, self.roster, "ours")
+        return None if witness is None else witness.tuple_index
 
     def matching(self) -> Matching:
         return Matching(self.inst, self.assign)

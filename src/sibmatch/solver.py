@@ -3,10 +3,10 @@
 Every individually rational matching assigns each family either one of
 its listed tuples or the all-dummy tuple, so the backtracking search over
 exactly that product space is sound and complete: if it reports that no
-stable matching exists, none does.  Partial assignments are pruned on
-quota overflow and on unacceptable child-daycare pairs (both would kill
-individual rationality or feasibility at the leaf anyway); stability is
-checked only at complete leaves.
+stable matching exists, none does.  Tuples with an unacceptable child are
+dropped up front and partial assignments pruned on quota overflow (both
+would kill individual rationality or feasibility at the leaf anyway);
+stability is checked only at complete leaves.
 
 This is the ground-truth oracle the heuristics are compared against; it
 is meant for instances of roughly fifteen families, not for market scale.
@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from sibmatch.model import DUMMY_ID, Instance, Matching
-from sibmatch.stability import scan_blocking
+from sibmatch.stability import MODES, scan_blocking
 
 __all__ = ["FindStableResult", "SearchBudget", "find_stable"]
 
@@ -66,23 +66,24 @@ def find_stable(
     preference order with the all-dummy tuple last, which tends to reach
     stable leaves early on markets where they exist.
     """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     budget = budget or SearchBudget()
     deadline = time.monotonic() + budget.max_millis / 1000.0
     families = sorted(instance.families, key=lambda f: (-f.size, f.id))
+    quota = instance.quota
     options = []
     for fam in families:
         # (rank, tuple, applications); a listed tuple's rank is its index
         opts = [
             (j, tup, apps)
             for j, (tup, apps) in enumerate(zip(fam.preferences, instance.applications[fam.id]))
+            if all(c in instance.rank[d] for d, group, _ in apps for c in group)
         ]
         if fam.all_dummy not in fam.preferences:
             opts.append((fam.tuple_rank(fam.all_dummy), fam.all_dummy, ()))
         options.append(opts)
 
-    remaining = {
-        d.id: d.quota for d in instance.daycares if d.quota is not None
-    }
     rosters: dict[str, set[str]] = {
         d.id: set() for d in instance.daycares if d.id != DUMMY_ID
     }
@@ -91,12 +92,6 @@ def find_stable(
     # can run directly on the incrementally maintained rosters
     current_rank: dict[str, int] = {f.id: 0 for f in instance.families}
     nodes = 0
-
-    def feasible_option(applications) -> bool:
-        return all(
-            remaining[d] >= len(apps) and all(c in instance.rank[d] for c in apps)
-            for d, apps, _ in applications
-        )
 
     def search(i: int) -> Matching | None:
         nonlocal nodes
@@ -111,19 +106,17 @@ def find_stable(
             return None
         fam = families[i]
         for rank, tup, applications in options[i]:
-            if not feasible_option(applications):
+            if any(len(rosters[d]) + len(apps) > quota[d] for d, apps, _ in applications):
                 continue
             for child, d in zip(fam.children, tup):
                 assign[child] = d
                 if d != DUMMY_ID:
-                    remaining[d] -= 1
                     rosters[d].add(child)
             current_rank[fam.id] = rank
             result = search(i + 1)
             for child, d in zip(fam.children, tup):
                 assign[child] = DUMMY_ID
                 if d != DUMMY_ID:
-                    remaining[d] += 1
                     rosters[d].discard(child)
             if result is not None:
                 return result

@@ -1,17 +1,17 @@
 """Daycare choice function and the two blocking-coalition predicates.
 
-Two stability notions are supported, selected by ``mode``:
+A family blocks with a strictly preferred listed tuple when, at every
+distinct non-dummy daycare of the tuple, :func:`select` refuses none of
+its applicants.  The notions, selected by ``mode``, differ in who stays
+seated while a daycare re-selects:
 
-* ``"ours"``: when testing whether family f can block with tuple j, each
-  daycare re-selects from ``(roster \\ C_f) | applicants`` — siblings of f
-  already seated there release their seats first (seat transfer).
-* ``"abh"``: each daycare selects from ``roster | applicants`` — current
-  occupants, including f's own children, keep competing.
+* ``"ours"``: ``roster \\ C_f`` — siblings of f already seated there
+  release their seats first (seat transfer).
+* ``"abh"``: ``roster \\ applicants`` — current occupants, including f's
+  other children, keep competing.
 
-A blocking coalition is a family plus a strictly preferred listed tuple
-such that, at every distinct non-dummy daycare of the tuple, all of the
-family's applicants to that daycare survive the re-selection.  The dummy
-daycare accepts everyone and is exempt from the check.
+The engine, ESDA's check, the verifier and the solver all share
+:func:`select` and the one blocking test, :func:`blocking_coalition_of`.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from sibmatch.model import (
     DUMMY_ID,
     Daycare,
+    Family,
     Instance,
     Matching,
     is_feasible,
@@ -57,32 +58,64 @@ class BlockingCoalition:
     accepted: dict[str, frozenset[str]]
 
 
-def select(applicants, rank: dict[str, int], quota: int | None) -> set[str]:
-    """Greedy top-quota selection of acceptable applicants.
+_ADMITTED = (frozenset(), ())  # select's result when every applicant is chosen
 
-    ``rank`` maps child to priority position (0 highest); children absent
-    from it are unacceptable and never selected.  ``quota=None`` means
-    unlimited (the dummy daycare).
+
+def select(seated, applicants, rank: dict[str, int], quota: int | None):
+    """A daycare's greedy choice from ``seated | applicants``: acceptable
+    children in priority order up to ``quota`` (None: unlimited).
+
+    Returns ``(refused, evicted)``, the applicants and the seated children
+    not chosen, the latter in priority order.  ``rank`` maps child to
+    priority position; applicants absent from it are unacceptable.
+    ``seated`` (all acceptable) and ``applicants`` are disjoint sets.
     """
-    acceptable = [c for c in applicants if c in rank]
     if quota is None:
-        return set(applicants)
-    if len(acceptable) <= quota:
-        return set(acceptable)
-    acceptable.sort(key=rank.__getitem__)
-    return set(acceptable[:quota])
+        return _ADMITTED
+    if len(seated) + len(applicants) <= quota and rank.keys() >= applicants:
+        return _ADMITTED
+    pool = [c for c in applicants if c in rank]
+    pool += seated
+    if len(pool) <= quota:
+        return applicants.difference(pool), ()
+    pool.sort(key=rank.__getitem__)
+    return applicants.difference(pool[:quota]), [c for c in pool[quota:] if c not in applicants]
 
 
 def choice(daycare: Daycare, applicants) -> set[str]:
     """The daycare's choice function: highest-priority applicants up to quota.
 
     Deterministic in the applicant set; unacceptable applicants are never
-    selected.  The dummy daycare returns all applicants.
+    selected.  An unlimited daycare (the dummy) returns all applicants.
     """
-    if daycare.id == DUMMY_ID:
-        return set(applicants)
+    applicants = set(applicants)
     rank = {c: i for i, c in enumerate(daycare.priority)}
-    return select(applicants, rank, daycare.quota)
+    refused, _ = select((), applicants, rank, daycare.quota)
+    return applicants - refused
+
+
+def blocking_coalition_of(
+    instance: Instance, family: Family, rank: int, rosters, mode: str
+) -> BlockingCoalition | None:
+    """Witness of the family's first tuple ranked above ``rank`` that
+    blocks against ``rosters`` (non-dummy daycare -> occupants), or None."""
+    ours = mode == "ours"
+    members = instance.family_members[family.id]
+    applications = instance.applications[family.id]
+    ranks, quotas = instance.rank, instance.quota
+    for j in range(min(rank, len(applications))):
+        accepted: dict[str, frozenset[str]] = {}
+        for d, apps, _ in applications[j]:
+            seated = rosters[d] - (members if ours else apps)
+            refused, evicted = select(seated, apps, ranks[d], quotas[d])
+            if refused:
+                break
+            if evicted:
+                seated = seated.difference(evicted)
+            accepted[d] = apps.union(seated)
+        else:
+            return BlockingCoalition(family=family.id, tuple_index=j, accepted=accepted)
+    return None
 
 
 def scan_blocking(
@@ -94,37 +127,22 @@ def scan_blocking(
     """Core blocking scan over explicit rosters.
 
     ``current_rank`` maps each family id to the preference rank of its
-    current assignment; ``rosters`` maps daycare ids to occupant sets.
-    Callers guarantee the underlying matching is feasible and IR.  Scans
-    families in id order, tuples in preference order, first hit wins.
+    current assignment; ``rosters`` maps every non-dummy daycare id to its
+    occupants.  Callers guarantee the underlying matching is feasible and
+    IR.  Scans families in id order, tuples in preference order, first hit
+    wins.
     """
-    ours = mode == "ours"
-    empty: frozenset[str] = frozenset()
     for fam in instance.families_in_id_order:
-        limit = min(current_rank[fam.id], len(fam.preferences))
-        if limit == 0:
-            continue
-        members = instance.family_members[fam.id]
-        applications = instance.applications[fam.id]
-        for j in range(limit):
-            accepted: dict[str, frozenset[str]] = {}
-            for d, apps, _ in applications[j]:
-                pool = set(rosters.get(d, empty))
-                if ours:
-                    pool -= members
-                pool |= apps
-                sel = select(pool, instance.rank[d], instance.quota[d])
-                if not apps <= sel:
-                    accepted = {}
-                    break
-                accepted[d] = frozenset(sel)
-            else:
-                return BlockingCoalition(family=fam.id, tuple_index=j, accepted=accepted)
+        rank = current_rank[fam.id]
+        if rank:  # a family at its first tuple cannot block
+            witness = blocking_coalition_of(instance, fam, rank, rosters, mode)
+            if witness is not None:
+                return witness
     return None
 
 
 def find_blocking_coalition(
-    instance: Instance, matching: Matching, mode: str = "ours"
+    instance: Instance, matching: Matching | None, mode: str = "ours"
 ) -> BlockingCoalition | None:
     """First blocking coalition under the deterministic scan, or None.
 
@@ -132,12 +150,14 @@ def find_blocking_coalition(
     the returned witness is reproducible.  None means the matching is
     stable (mode ``"ours"``) or ABH-stable (mode ``"abh"``).
 
-    Raises :class:`StabilityPreconditionError` if the matching is
-    infeasible or not individually rational: the predicates are defined
-    only on feasible IR matchings.
+    Raises :class:`StabilityPreconditionError` if the matching is None
+    (a failed run's), infeasible or not individually rational: the
+    predicates are defined only on feasible IR matchings.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    if matching is None:
+        raise StabilityPreconditionError("no matching to check")
     if not is_feasible(instance, matching):
         raise StabilityPreconditionError("matching is infeasible")
     if not is_individually_rational(instance, matching):
@@ -152,10 +172,9 @@ def find_blocking_coalition(
     return scan_blocking(instance, current_rank, rosters, mode)
 
 
-def is_stable(instance: Instance, matching: Matching, mode: str = "ours") -> bool:
-    """True iff the matching is feasible, IR, and admits no blocking coalition."""
-    if not is_feasible(instance, matching):
+def is_stable(instance: Instance, matching: Matching | None, mode: str = "ours") -> bool:
+    """True iff the matching exists, is feasible, IR, and unblocked."""
+    try:
+        return find_blocking_coalition(instance, matching, mode) is None
+    except StabilityPreconditionError:
         return False
-    if not is_individually_rational(instance, matching):
-        return False
-    return find_blocking_coalition(instance, matching, mode) is None

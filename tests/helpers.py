@@ -9,13 +9,15 @@ it solves only after two restarts.
 ``random_instance`` and ``random_feasible_ir_matching`` drive the seeded
 property loops: small markets with unacceptable children, dummy entries
 inside tuples, and repeated daycares, to stress the edge cases the
-golden markets do not cover.
+golden markets do not cover.  ``oracle_market`` is market k of the
+criterion-3 set of generated small markets.
 """
 
 from __future__ import annotations
 
 import random
 
+from sibmatch.market import MarketConfig, gen_instance
 from sibmatch.model import DUMMY_ID, Daycare, Family, Instance, Matching
 
 
@@ -207,3 +209,20 @@ def random_feasible_ir_matching(rng: random.Random, instance: Instance) -> Match
             if d != DUMMY_ID:
                 remaining[d] -= 1
     return Matching(instance, assign)
+
+
+def oracle_market(k: int) -> Instance:
+    """Market k (0..299) of the criterion-3 set."""
+    return gen_instance(
+        MarketConfig(
+            n=6 + (k % 9),
+            phi=(0.3, 1.0)[k % 2],
+            alpha=(0.4, 0.6)[(k // 2) % 2],
+            L=2,
+            sigma=2.0,
+            daycare_ratio=0.5,
+            sibling_pref_length=3,
+            joint_pref_length=4,
+            seed=10_000 + k,
+        )
+    )

@@ -126,18 +126,7 @@ def test_criterion_3_oracle_agreement():
     start = time.perf_counter()
     esda_successes = 0
     for k in range(300):
-        cfg = MarketConfig(
-            n=6 + (k % 9),
-            phi=(0.3, 1.0)[k % 2],
-            alpha=(0.4, 0.6)[(k // 2) % 2],
-            L=2,
-            sigma=2.0,
-            daycare_ratio=0.5,
-            sibling_pref_length=3,
-            joint_pref_length=4,
-            seed=10_000 + k,
-        )
-        instance = gen_instance(cfg)
+        instance = helpers.oracle_market(k)
         esda = run_esda(instance)
         if esda.succeeded:
             esda_successes += 1

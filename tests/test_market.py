@@ -205,13 +205,14 @@ def test_mallows_adjacent_swap_mass_ratio():
     swap = ["a", "c", "b"]
     rng = rng_of(15)
     counts = {"ref": 0, "swap": 0}
-    draws = 1_000_000
-    for _ in range(draws):
-        out = mallows_sample(ref, 0.5, rng)
-        if out == ref:
-            counts["ref"] += 1
-        elif out == swap:
-            counts["swap"] += 1
+    draws, chunk = 1_000_000, 100_000
+    # size=chunk consumes the stream exactly as chunk single draws do
+    for _ in range(draws // chunk):
+        for out in mallows_sample(ref, 0.5, rng, size=chunk):
+            if out == ref:
+                counts["ref"] += 1
+            elif out == swap:
+                counts["swap"] += 1
     ratio = counts["swap"] / counts["ref"]
     assert abs(ratio - 0.5) < 0.02
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 import helpers
 from sibmatch.algorithms import run_esda
 from sibmatch.market import MarketConfig, gen_instance
-from sibmatch.model import DUMMY_ID
+from sibmatch.model import DUMMY_ID, dump_matching
 from sibmatch.solver import SearchBudget, find_stable
 from sibmatch.stability import is_stable
 
@@ -34,6 +35,45 @@ def test_weak_only_market_modes_disagree(weak_only_mkt):
     abh = find_stable(weak_only_mkt, "abh")
     assert abh.found
     assert is_stable(weak_only_mkt, abh.matching, "abh")
+
+
+def test_unknown_mode_rejected(weak_only_mkt):
+    # any mode but "ours" once ran the ABH search, and "OURS" found a matching
+    with pytest.raises(ValueError, match="mode must be one of"):
+        find_stable(weak_only_mkt, "OURS")
+
+
+# The search on markets of the criterion-3 set, keyed (k, mode): status,
+# nodes searched and the leading 16 hex digits of the sha256 of the dumped
+# matching.  Markets 25, 125 and 134 ("ours") are among the largest
+# searches; 134 is the one whose two modes disagree.
+PINNED_SEARCHES = {
+    (0, "ours"): ("found", 9, "23ec49d5f3a58021"),
+    (0, "abh"): ("found", 9, "23ec49d5f3a58021"),
+    (2, "ours"): ("found", 750, "58e4323ddeb1fe2f"),
+    (2, "abh"): ("found", 750, "58e4323ddeb1fe2f"),
+    (6, "ours"): ("found", 14230, "c22f8e826fa26cde"),
+    (6, "abh"): ("found", 14230, "c22f8e826fa26cde"),
+    (7, "ours"): ("found", 4921, "2667dad529aaa1b5"),
+    (7, "abh"): ("found", 4921, "2667dad529aaa1b5"),
+    (25, "ours"): ("none-exists", 170838, None),
+    (25, "abh"): ("none-exists", 170838, None),
+    (86, "ours"): ("found", 3132, "b9660aa73d23cc03"),
+    (86, "abh"): ("found", 3132, "b9660aa73d23cc03"),
+    (125, "ours"): ("found", 177340, "5dfcb5f1d518a347"),
+    (125, "abh"): ("found", 177340, "5dfcb5f1d518a347"),
+    (134, "ours"): ("none-exists", 443231, None),
+    (134, "abh"): ("found", 27262, "7b6b3cb6997595c5"),
+}
+
+
+@pytest.mark.parametrize("k, mode", sorted(PINNED_SEARCHES), ids=[f"market{k}-{m}" for k, m in sorted(PINNED_SEARCHES)])
+def test_searches_are_pinned(k, mode):
+    result = find_stable(helpers.oracle_market(k), mode)
+    digest = None
+    if result.matching is not None:
+        digest = hashlib.sha256(dump_matching(result.matching).encode()).hexdigest()[:16]
+    assert (result.status, result.nodes, digest) == PINNED_SEARCHES[k, mode]
 
 
 def test_budget_exceeded(rotation_mkt):

@@ -1,14 +1,22 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import helpers
+from sibmatch.algorithms import run_esda
 from sibmatch.model import Daycare, Matching
 from sibmatch.stability import (
+    MODES,
     StabilityPreconditionError,
     choice,
     find_blocking_coalition,
     is_stable,
+    select,
 )
 
 
@@ -39,6 +47,78 @@ def test_choice_invariants():
             acceptable = {c for c in applicants if c in inst.rank[dc.id]}
             assert all(c in inst.rank[dc.id] for c in sel)
             assert len(sel) == min(len(acceptable), dc.quota)
+
+
+@st.composite
+def choice_problems(draw):
+    """(seated, applicants, rank, quota) as the engine and the scans pass
+    them: disjoint sets, every seated child acceptable, applicants maybe
+    not; quota None is the dummy."""
+    children = [f"c{i}" for i in range(draw(st.integers(0, 8)))]
+    ranked = draw(st.permutations(children))
+    rank = {c: i for i, c in enumerate(ranked) if draw(st.booleans())}
+    quota = draw(st.one_of(st.none(), st.integers(0, 5)))
+    seated = {c for c in rank if draw(st.booleans())}
+    applicants = frozenset(c for c in children if c not in seated and draw(st.booleans()))
+    return seated, applicants, rank, quota
+
+
+def brute_force_choice(pool, rank, quota):
+    """The subset of acceptable pool children of the largest feasible size
+    whose sorted priority positions are lexicographically smallest."""
+    acceptable = [c for c in pool if c in rank]
+    size = min(quota, len(acceptable))
+    return set(min(itertools.combinations(acceptable, size), key=lambda s: sorted(rank[c] for c in s)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(problem=choice_problems())
+@example(problem=({"c0", "c1"}, frozenset({"c2"}), {"c0": 2, "c1": 0, "c2": 1}, 2))  # full roster
+@example(problem=(set(), frozenset({"c0", "c1"}), {"c1": 0}, 2))  # empty roster, unacceptable
+@example(problem=({"c0"}, frozenset({"c1"}), {"c0": 1, "c1": 0}, 0))  # quota 0
+def test_select_matches_brute_force_greedy(problem):
+    seated, applicants, rank, quota = problem
+    refused, evicted = select(seated, applicants, rank, quota)
+    if quota is None:
+        assert not refused and not evicted
+        return
+    chosen = brute_force_choice(seated | applicants, rank, quota)
+    assert set(refused) == applicants - chosen
+    assert list(evicted) == sorted(seated - chosen, key=rank.__getitem__)
+
+
+# Witnesses on seeded feasible IR matchings, keyed (markets, mode): the
+# leading 16 hex digits of the sha256 of the JSON list of
+# [family, tuple_index, sorted [daycare, sorted accepted]] or null, and
+# how many matchings were blocked.  "random" draws 120 helpers.random_instance
+# markets, "oracle" takes the first 120 criterion-3 markets; four matchings
+# each, all from one random.Random(41).
+PINNED_WITNESSES = {
+    ("random", "ours"): ("bcc534bd32df949e", 178),
+    ("random", "abh"): ("719f911686a19943", 177),
+    ("oracle", "ours"): ("57ab85e14a83ecd0", 479),
+    ("oracle", "abh"): ("f13fed3a11c7f9b2", 479),
+}
+
+
+@pytest.mark.parametrize("markets, mode", sorted(PINNED_WITNESSES))
+def test_witnesses_are_pinned(markets, mode):
+    rng = random.Random(41)
+    witnesses, blocked = [], 0
+    for k in range(120):
+        inst = helpers.random_instance(rng) if markets == "random" else helpers.oracle_market(k)
+        for _ in range(4):
+            m = helpers.random_feasible_ir_matching(rng, inst)
+            w = find_blocking_coalition(inst, m, mode)
+            if w is None:
+                witnesses.append(None)
+                continue
+            blocked += 1
+            assert all(type(v) is frozenset for v in w.accepted.values())
+            accepted = sorted([d, sorted(v)] for d, v in w.accepted.items())
+            witnesses.append([w.family, w.tuple_index, accepted])
+    digest = hashlib.sha256(json.dumps(witnesses).encode()).hexdigest()[:16]
+    assert (digest, blocked) == PINNED_WITNESSES[markets, mode]
 
 
 def test_two_notions_split_on_seat_transfer(seat_transfer_mkt):
@@ -118,6 +198,15 @@ def test_precondition_errors(rotation_mkt):
     # is_stable treats them as plain instability, not an error
     assert not is_stable(rotation_mkt, infeasible, "ours")
     assert not is_stable(rotation_mkt, not_ir, "ours")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_failed_run_has_no_stable_matching(self_cycle_mkt, mode):
+    outcome = run_esda(self_cycle_mkt)
+    assert not outcome.succeeded and outcome.matching is None
+    assert is_stable(self_cycle_mkt, outcome.matching, mode) is False
+    with pytest.raises(StabilityPreconditionError, match="no matching"):
+        find_blocking_coalition(self_cycle_mkt, outcome.matching, mode)
 
 
 def test_bad_mode_rejected(rotation_mkt):
