@@ -4,13 +4,12 @@ All four share one proposal engine and its one proposal loop.  A family
 walks its preference list; a tuple is accepted only if no distinct
 non-dummy daycare of the tuple refuses any of the family's applicants
 (``Instance.applications``) under ``stability.select``, which also names
-the seated children the placement evicts.  The family's own children do
-not count as seated (irrelevant while the family holds no seats, which is
-always the case at proposal time).  The loop proposes queued families in
-FIFO order and queues every displaced singleton family; it stops at the
-first eviction of a sibling-family child.  Deferred acceptance is that
-loop over the singleton families; inserting a sibling family is that loop
-started from the family alone.
+the seated children the placement evicts.  A proposing family never
+holds a seat, so each roster goes to ``select`` as it is.  The loop
+proposes queued families in FIFO order and queues every displaced
+singleton family; it stops at the first eviction of a sibling-family
+child.  Deferred acceptance is that loop over the singleton families;
+inserting a sibling family is that loop started from the family alone.
 
 * ``run_da``: children-proposing deferred acceptance over single-child
   families only; always succeeds.
@@ -139,7 +138,6 @@ class _Engine:
         self.quota = instance.quota
         self.fs_ids: list[str] = list(instance.sibling_families)
         self.fo_ids: list[str] = list(instance.singleton_families)
-        self.members = instance.family_members
         self.applications = instance.applications
         self.roster: dict[str, set[str]] = {}
         self.assign: dict[str, str] = {}
@@ -168,10 +166,9 @@ class _Engine:
         first occurrence in the tuple, then children by priority rank;
         the displacer is the family child that applied to the daycare.
         """
-        members = self.members[fam.id]
         evictions: list[tuple[str, str, str]] = []
         for d, apps, displacer in self.applications[fam.id][j]:
-            refused, evicted = select(self.roster[d] - members, apps, self.rank[d], self.quota[d])
+            refused, evicted = select(self.roster[d], apps, self.rank[d], self.quota[d])
             if refused:
                 return None, (d, refused)
             evictions.extend((c, d, displacer) for c in evicted)
@@ -185,9 +182,6 @@ class _Engine:
             self.assign[c] = DUMMY_ID
         tup = fam.preferences[j]
         for child, d in zip(fam.children, tup):
-            prev = self.assign[child]
-            if prev != DUMMY_ID:
-                self.roster[prev].discard(child)
             self.assign[child] = d
             if d != DUMMY_ID:
                 self.roster[d].add(child)

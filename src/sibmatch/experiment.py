@@ -9,8 +9,9 @@ the algorithm call only; generation and verification are outside it).
 Every heuristic success is verified against the matching stability
 predicate before it is counted: ESDA successes must be stable, SDA
 successes ABH-stable.  The exact solver rows are produced by the
-backtracking oracle and are skipped above ``exact_cap`` children, where
-exhaustive search is hopeless.
+backtracking oracle and are skipped above ``exact_cap`` children.  An
+exception raised by one run counts as a ``harness-error`` failure, and
+its ``repr`` is kept in the cell's ``errors``.
 
 Reports render to CSV or a markdown table with a fixed column order, so
 two runs with the same spec are byte-identical apart from the timing
@@ -108,6 +109,7 @@ class CellStats:
     times: list[float] = field(default_factory=list)
     failures: Counter = field(default_factory=Counter)
     skipped: bool = False
+    errors: list[str] = field(default_factory=list)  # repr of each harness error
 
 
 @dataclass
@@ -157,8 +159,13 @@ def _run_algorithm(algo: str, instance: Instance, spec: SweepSpec, n: int):
     return False, elapsed, outcome.failure.kind
 
 
-def _run_trial(args) -> list[tuple[int, float, str, int, object, float, object]]:
-    """Worker: run all requested algorithms on one generated instance."""
+def _run_trial(args) -> list[tuple[int, float, str, int, object, float, object, object]]:
+    """Worker: run all requested algorithms on one generated instance.
+
+    Each row is ``(n, phi, algo, trial, success, elapsed, failure, error)``;
+    ``error`` is the ``repr`` of the exception behind a harness error, else
+    None.
+    """
     spec_dict, n, phi, trial = args
     spec = SweepSpec.from_dict(spec_dict)
     rows = []
@@ -168,11 +175,12 @@ def _run_trial(args) -> list[tuple[int, float, str, int, object, float, object]]
     except Exception as exc:  # config errors propagate, per-instance faults isolate
         raise RuntimeError(f"generation failed for n={n} phi={phi} trial={trial}: {exc}")
     for algo in spec.algorithms:
+        error = None
         try:
             success, elapsed, failure = _run_algorithm(algo, instance, spec, n)
-        except Exception:
-            success, elapsed, failure = False, 0.0, "harness-error"
-        rows.append((n, phi, algo, trial, success, elapsed, failure))
+        except Exception as exc:
+            success, elapsed, failure, error = False, 0.0, "harness-error", repr(exc)
+        rows.append((n, phi, algo, trial, success, elapsed, failure, error))
     return rows
 
 
@@ -198,7 +206,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
                     skipped=algo.startswith("exact-") and n > spec.exact_cap
                 )
     for rows in per_trial:
-        for n, phi, algo, _, success, elapsed, failure in rows:
+        for n, phi, algo, _, success, elapsed, failure, error in rows:
             cell = cells[(n, phi, algo)]
             if success is None:
                 continue
@@ -208,6 +216,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
                 cell.times.append(elapsed)
             else:
                 cell.failures[failure] += 1
+                if error is not None:
+                    cell.errors.append(error)
     return ExperimentReport(spec=spec, cells=cells)
 
 

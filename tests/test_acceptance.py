@@ -125,21 +125,33 @@ def test_criterion_2_synthetic_table():
 def test_criterion_3_oracle_agreement():
     start = time.perf_counter()
     esda_successes = 0
+    none_exists, esda_misses = [], []
     for k in range(300):
         instance = helpers.oracle_market(k)
         esda = run_esda(instance)
+        exact = find_stable(instance, "ours")
+        assert exact.status != "budget-exceeded", k
+        if exact.status == "none-exists":
+            none_exists.append(k)
         if esda.succeeded:
             esda_successes += 1
             assert is_stable(instance, esda.matching, "ours"), k
-            assert find_stable(instance, "ours").found, k
+            assert exact.found, k
+        elif exact.found:
+            esda_misses.append(k)
         sda = run_sda(instance)
         if sda.succeeded:
             assert is_stable(instance, sda.matching, "abh"), k
     elapsed = time.perf_counter() - start
+    assert none_exists == [25, 134]
+    assert esda_misses == [107, 129, 285]
+    assert esda_successes == 295
     assert elapsed < 120.0
     report(
         f"criterion 3 PASS: 300 instances (n<=14), {esda_successes} ESDA successes, "
-        f"all verified stable and confirmed by the exhaustive solver; {elapsed:.0f}s"
+        f"all verified stable and confirmed by the exhaustive solver; no stable "
+        f"matching on markets {none_exists}; ESDA missed one on markets "
+        f"{esda_misses}; {elapsed:.0f}s"
     )
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from sibmatch import experiment
 from sibmatch.experiment import (
     ExperimentReport,
     SweepSpec,
@@ -111,6 +112,32 @@ def test_success_counts_add_up():
     report = run_sweep(spec)
     for cell in report.cells.values():
         assert cell.successes + sum(cell.failures.values()) == cell.trials == 5
+
+
+def test_harness_errors_keep_their_text(monkeypatch):
+    real = experiment._run_algorithm
+
+    def flaky(algo, instance, spec, n):
+        if algo == "sc":
+            raise RuntimeError(f"boom at n={n}")
+        return real(algo, instance, spec, n)
+
+    monkeypatch.setattr(experiment, "_run_algorithm", flaky)
+    spec = small_spec(trials=2)
+    report = run_sweep(spec)
+    for phi in spec.phis:
+        sc = report.cells[(12, phi, "sc")]
+        assert sc.failures == {"harness-error": 2}
+        assert sc.errors == ["RuntimeError('boom at n=12')"] * 2
+        assert report.cells[(12, phi, "esda")].errors == []
+    csv = render_report(report, "csv")
+    assert "\n12,0.5,sc,0/2,nan,nan,harness-error:2\n" in csv
+    markdown = render_report(report, "markdown")
+    for cell in report.cells.values():
+        cell.errors.clear()
+    # the error texts stay out of both report formats
+    assert render_report(report, "csv") == csv
+    assert render_report(report, "markdown") == markdown
 
 
 def test_spec_validation():

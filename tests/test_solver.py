@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import pytest
 import helpers
 from sibmatch.algorithms import run_esda
 from sibmatch.market import MarketConfig, gen_instance
-from sibmatch.model import DUMMY_ID, dump_matching
+from sibmatch.model import DUMMY_ID, Matching, dump_matching
 from sibmatch.solver import SearchBudget, find_stable
 from sibmatch.stability import is_stable
 
@@ -44,36 +45,80 @@ def test_unknown_mode_rejected(weak_only_mkt):
 
 
 # The search on markets of the criterion-3 set, keyed (k, mode): status,
-# nodes searched and the leading 16 hex digits of the sha256 of the dumped
-# matching.  Markets 25, 125 and 134 ("ours") are among the largest
-# searches; 134 is the one whose two modes disagree.
+# nodes searched, nodes the search took before it pruned the subtrees in
+# which the family just placed must block, and the leading 16 hex digits
+# of the sha256 of the dumped matching.  Markets 25, 125 and 134 ("ours")
+# were among the largest searches; 134 is the one whose two modes disagree.
 PINNED_SEARCHES = {
-    (0, "ours"): ("found", 9, "23ec49d5f3a58021"),
-    (0, "abh"): ("found", 9, "23ec49d5f3a58021"),
-    (2, "ours"): ("found", 750, "58e4323ddeb1fe2f"),
-    (2, "abh"): ("found", 750, "58e4323ddeb1fe2f"),
-    (6, "ours"): ("found", 14230, "c22f8e826fa26cde"),
-    (6, "abh"): ("found", 14230, "c22f8e826fa26cde"),
-    (7, "ours"): ("found", 4921, "2667dad529aaa1b5"),
-    (7, "abh"): ("found", 4921, "2667dad529aaa1b5"),
-    (25, "ours"): ("none-exists", 170838, None),
-    (25, "abh"): ("none-exists", 170838, None),
-    (86, "ours"): ("found", 3132, "b9660aa73d23cc03"),
-    (86, "abh"): ("found", 3132, "b9660aa73d23cc03"),
-    (125, "ours"): ("found", 177340, "5dfcb5f1d518a347"),
-    (125, "abh"): ("found", 177340, "5dfcb5f1d518a347"),
-    (134, "ours"): ("none-exists", 443231, None),
-    (134, "abh"): ("found", 27262, "7b6b3cb6997595c5"),
+    (0, "ours"): ("found", 8, 9, "23ec49d5f3a58021"),
+    (0, "abh"): ("found", 8, 9, "23ec49d5f3a58021"),
+    (2, "ours"): ("found", 12, 750, "58e4323ddeb1fe2f"),
+    (2, "abh"): ("found", 12, 750, "58e4323ddeb1fe2f"),
+    (6, "ours"): ("found", 33, 14230, "c22f8e826fa26cde"),
+    (6, "abh"): ("found", 33, 14230, "c22f8e826fa26cde"),
+    (7, "ours"): ("found", 15, 4921, "2667dad529aaa1b5"),
+    (7, "abh"): ("found", 15, 4921, "2667dad529aaa1b5"),
+    (25, "ours"): ("none-exists", 65, 170838, None),
+    (25, "abh"): ("none-exists", 65, 170838, None),
+    (86, "ours"): ("found", 19, 3132, "b9660aa73d23cc03"),
+    (86, "abh"): ("found", 19, 3132, "b9660aa73d23cc03"),
+    (125, "ours"): ("found", 17, 177340, "5dfcb5f1d518a347"),
+    (125, "abh"): ("found", 17, 177340, "5dfcb5f1d518a347"),
+    (134, "ours"): ("none-exists", 26, 443231, None),
+    (134, "abh"): ("found", 26, 27262, "7b6b3cb6997595c5"),
 }
 
 
 @pytest.mark.parametrize("k, mode", sorted(PINNED_SEARCHES), ids=[f"market{k}-{m}" for k, m in sorted(PINNED_SEARCHES)])
 def test_searches_are_pinned(k, mode):
+    status, nodes, unpruned_nodes, pinned_digest = PINNED_SEARCHES[k, mode]
+    assert nodes <= unpruned_nodes
     result = find_stable(helpers.oracle_market(k), mode)
     digest = None
     if result.matching is not None:
         digest = hashlib.sha256(dump_matching(result.matching).encode()).hexdigest()[:16]
-    assert (result.status, result.nodes, digest) == PINNED_SEARCHES[k, mode]
+    assert (result.status, result.nodes, digest) == (status, nodes, pinned_digest)
+
+
+def test_rotation_market_nodes(rotation_mkt):
+    # 10 nodes without the prune; test_budget_exceeded's max_nodes=2
+    # must stay below this
+    assert find_stable(rotation_mkt, "ours").nodes == 8
+
+
+def _exists_by_enumeration(instance, mode) -> bool:
+    """Whether any leaf of the full product of options is stable."""
+    families = instance.families
+    options = [
+        list(f.preferences) + ([] if f.all_dummy in f.preferences else [f.all_dummy])
+        for f in families
+    ]
+    for combo in itertools.product(*options):
+        assign = {c: d for f, tup in zip(families, combo) for c, d in zip(f.children, tup)}
+        if is_stable(instance, Matching(instance, assign), mode):
+            return True
+    return False
+
+
+def test_existence_matches_brute_force():
+    markets = [
+        helpers.seat_transfer_market(),
+        helpers.rotation_market(),
+        helpers.weak_only_market(),
+        helpers.restart_success_market(),
+        helpers.self_cycle_market(),
+        helpers.sibling_cycle_market(),
+        helpers.order_flip_market(),
+    ]
+    rng = random.Random(5)
+    markets += [helpers.random_instance(rng, max_children=10) for _ in range(1000)]
+    for mode in ("ours", "abh"):
+        none_exists = 0
+        for k, instance in enumerate(markets):
+            exists = _exists_by_enumeration(instance, mode)
+            assert find_stable(instance, mode).found == exists, (k, mode)
+            none_exists += not exists
+        assert none_exists >= 5, mode
 
 
 def test_budget_exceeded(rotation_mkt):
