@@ -29,9 +29,12 @@ inserting a sibling family is that loop started from the family alone.
   so, the run fails rather than return an unstable matching.  A
   successful matching is stable.
 
-Failures are classified from the trace: a displacement chain returning to
-the inserting family itself is type-1-a (same child) or type-1-b (a
-sibling); a repeated restart order is type-2.
+Failures are classified from the trace.  A restart that would evict the
+inserting family itself is type-1: its displacement chain, the one
+holding the final attempt's last eviction, is read off by
+``trace.displacement_chains`` (the walk the diagnostics use too) and is
+type-1-a if it ends at the child that started it, type-1-b if at a
+sibling.  A repeated restart order is type-2.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 from sibmatch.model import DUMMY_ID, Family, Instance, Matching
 from sibmatch.stability import blocking_coalition_of, select
-from sibmatch.trace import ExecutionTrace
+from sibmatch.trace import ExecutionTrace, displacement_chains
 
 TYPE_1A = "type-1a"
 TYPE_1B = "type-1b"
@@ -432,42 +435,6 @@ def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
 # -- failure classification ------------------------------------------------
 
 
-def _terminal_chain(trace: ExecutionTrace, members) -> tuple[str, ...]:
-    """Reconstruct the displacement chain ending at the terminal eviction.
-
-    Walk backwards through the final attempt: the last eviction hit the
-    inserting family; its displacer was itself evicted earlier, and so on
-    until the displacer is one of the inserting family's own children
-    (their placement started the cascade).
-    """
-    events = trace.attempts()[-1]
-    evictions: list[tuple[str, str]] = []  # (child, displacer), event order
-    for event in events:
-        if event["kind"] == "place":
-            evictions.extend((c, x) for c, _, x in event["evicted"])
-    if not evictions:
-        raise ValueError("trace has no evictions in its final attempt")
-    child, displacer = evictions[-1]
-    chain = [child]
-    pos = len(evictions) - 1
-    while displacer not in members:
-        prior = None
-        for k in range(pos - 1, -1, -1):
-            if evictions[k][0] == displacer:
-                prior = k
-                break
-        if prior is None:
-            raise ValueError(
-                f"displacer {displacer!r} has no prior eviction; malformed trace"
-            )
-        chain.append(displacer)
-        pos = prior
-        displacer = evictions[prior][1]
-    chain.append(displacer)
-    chain.reverse()
-    return tuple(chain)
-
-
 def classify_failure(trace: ExecutionTrace) -> FailureKind:
     """Map a failed run's trace to its typed unsuccessful termination.
 
@@ -501,11 +468,24 @@ def classify_failure(trace: ExecutionTrace) -> FailureKind:
             return FailureKind(
                 TYPE_2_PERMUTATION_REPEAT, permutation=tuple(terminal["new_pi"])
             )
-        members: set[str] = set()
-        for event in trace.attempts()[-1]:
-            if event["kind"] == "place" and event["family"] == inserting:
-                members |= set(event["placed"])
-        chain = _terminal_chain(trace, members)
+        # The terminal chain holds the final attempt's last eviction.
+        events = trace.attempts()[-1]
+        evictions = [x for e in events if e["kind"] == "place" for x in e["evicted"]]
+        if not evictions:
+            raise ValueError("trace has no evictions in its final attempt")
+        child, daycare, _ = evictions[-1]
+        chain = next(
+            children
+            for children, daycares, _, _ in reversed(displacement_chains(events))
+            if children[-1] == child and daycares[-1] == daycare
+        )
+        if not any(
+            e["kind"] == "place" and e["family"] == inserting and chain[0] in e["placed"]
+            for e in events
+        ):
+            raise ValueError(
+                f"chain {chain} does not start at a child {inserting!r} placed; malformed trace"
+            )
         kind = TYPE_1A if chain[0] == chain[-1] else TYPE_1B
         return FailureKind(kind, chain=chain)
     raise ValueError(f"unrecognised terminal event kind {kind!r}")

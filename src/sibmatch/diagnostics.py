@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from sibmatch.algorithms import classify_failure
 from sibmatch.model import DUMMY_ID, Family, Instance, MatchingError
-from sibmatch.trace import ExecutionTrace, Replay
+from sibmatch.trace import ExecutionTrace, Replay, displacement_chains
 
 __all__ = [
     "Chain",
@@ -56,17 +56,29 @@ def top_dominates(ordering, f: Family, g: Family) -> bool:
     return best_f < best_g
 
 
+def _spans(ordering, families) -> dict[str, tuple[int, int]]:
+    """Each family's best and worst position in the ordering, by family id."""
+    pos = _positions(ordering)
+    return {fam.id: _family_span(pos, fam) for fam in families}
+
+
+def _domination(spans: dict[str, tuple[int, int]]) -> set[tuple[str, str]]:
+    """Ordered pairs (f, g) of distinct families where f dominates g."""
+    return {
+        (f, g)
+        for f, (best, _) in spans.items()
+        for g, (_, worst) in spans.items()
+        if f != g and best < worst
+    }
+
+
+def _nesting(domination: set[tuple[str, str]]) -> set[frozenset[str]]:
+    return {frozenset(pair) for pair in domination if pair[::-1] in domination}
+
+
 def nesting_pairs(ordering, families) -> set[frozenset[str]]:
     """Unordered pairs of distinct families that dominate each other."""
-    fams = list(families)
-    pos = _positions(ordering)
-    spans = {fam.id: _family_span(pos, fam) for fam in fams}
-    out: set[frozenset[str]] = set()
-    for i, f in enumerate(fams):
-        for g in fams[i + 1 :]:
-            if spans[f.id][0] < spans[g.id][1] and spans[g.id][0] < spans[f.id][1]:
-                out.add(frozenset((f.id, g.id)))
-    return out
+    return _nesting(_domination(_spans(ordering, families)))
 
 
 def diameter(ordering, f: Family) -> int:
@@ -113,65 +125,24 @@ class Chain:
 
 
 def extract_chains(instance: Instance, trace: ExecutionTrace) -> list[Chain]:
-    """Reconstruct every displacement chain of a trace.
+    """Every displacement chain of a trace, in creation order.
 
-    A placement by a child that was itself displaced earlier extends the
-    chain that displaced it; any other placement starts new chains, one
-    per child it evicts.  Chains never span attempts.  An eviction naming
-    a child or daycare the instance lacks raises :class:`MatchingError`.
+    The chains are those of :func:`sibmatch.trace.displacement_chains`,
+    with the families of their children; chains never span attempts.  An
+    eviction naming a child or daycare the instance lacks raises
+    :class:`MatchingError`.
     """
-    chains: list[dict] = []
+    family_of, known = instance.family_of, instance.daycares_by_id
     out: list[Chain] = []
-
-    def finish() -> None:
-        for ch in chains:
-            out.append(
-                Chain(
-                    children=tuple(ch["children"]),
-                    daycares=tuple(ch["daycares"]),
-                    families=tuple(instance.family_of[c] for c in ch["children"]),
-                    attempt_index=ch["attempt"],
-                    inserting_family=ch["inserting"],
+    for children, daycares, attempt, inserting in displacement_chains(trace):
+        for displacer, child, daycare in zip(children, children[1:], daycares):
+            if not (child in family_of and displacer in family_of and daycare in known):
+                raise MatchingError(
+                    f"trace: eviction of {child!r} from {daycare!r} "
+                    f"by {displacer!r} names an unknown child or daycare"
                 )
-            )
-        chains.clear()
-
-    attempt = -1
-    inserting: str | None = None
-    open_chain: dict[str, dict] = {}
-    for event in trace:
-        kind = event["kind"]
-        if kind == "attempt":
-            finish()
-            open_chain.clear()
-            attempt = event["index"]
-            inserting = None
-        elif kind == "insert":
-            inserting = event["family"]
-        elif kind == "place":
-            for child, daycare, displacer in event["evicted"]:
-                if not (
-                    child in instance.family_of
-                    and displacer in instance.family_of
-                    and daycare in instance.daycares_by_id
-                ):
-                    raise MatchingError(
-                        f"trace: eviction of {child!r} from {daycare!r} "
-                        f"by {displacer!r} names an unknown child or daycare"
-                    )
-                ch = open_chain.pop(displacer, None)
-                if ch is None:
-                    ch = {
-                        "children": [displacer],
-                        "daycares": [],
-                        "attempt": attempt,
-                        "inserting": inserting,
-                    }
-                    chains.append(ch)
-                ch["children"].append(child)
-                ch["daycares"].append(daycare)
-                open_chain[child] = ch
-    finish()
+        families = tuple(family_of[c] for c in children)
+        out.append(Chain(children, daycares, families, attempt, inserting))
     return out
 
 
@@ -246,15 +217,11 @@ def structure_report(instance: Instance, trace: ExecutionTrace | None = None) ->
     }
     reference = instance.meta.get("reference_ordering")
     if reference:
-        fams = [instance.families_by_id[f] for f in instance.sibling_families]
-        report["diameter"] = {f.id: diameter(reference, f) for f in fams}
-        report["domination"] = sorted(
-            [f.id, g.id]
-            for f in fams
-            for g in fams
-            if f.id != g.id and dominates(reference, f, g)
-        )
-        report["nesting_pairs"] = sorted(sorted(p) for p in nesting_pairs(reference, fams))
+        spans = _spans(reference, (instance.families_by_id[f] for f in instance.sibling_families))
+        domination = _domination(spans)
+        report["diameter"] = {f: worst - best + 1 for f, (best, worst) in spans.items()}
+        report["domination"] = sorted(map(list, domination))
+        report["nesting_pairs"] = sorted(sorted(p) for p in _nesting(domination))
     if trace is not None:
         chains = extract_chains(instance, trace)
         report["chains"] = [

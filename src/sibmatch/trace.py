@@ -28,6 +28,9 @@ Events are plain dicts with a ``"kind"`` key.  Kinds and fields:
 Replaying the ``place`` events of the final attempt onto the all-unmatched
 assignment reproduces the final matching exactly; :class:`Replay`
 implements that and is property-tested against every algorithm.
+:func:`displacement_chains` is the one walk of the ``evicted`` fields
+into displacement chains; failure classification and the diagnostics
+both read chains from it.
 
 Events are read-only.  SDA and ESDA run the singleton DA phase once and
 log its events after every ``attempt`` event, so the DA-phase events of
@@ -42,7 +45,7 @@ from typing import Iterator
 
 from sibmatch.model import DUMMY_ID, Instance, Matching, MatchingError
 
-__all__ = ["ExecutionTrace", "Replay", "replay_trace"]
+__all__ = ["ExecutionTrace", "Replay", "displacement_chains", "replay_trace"]
 
 TERMINAL_KINDS = ("repeat", "improvement", "clash", "success")
 
@@ -112,8 +115,8 @@ class Replay:
     other kinds.  ``assignment`` (every child to its daycare) and
     ``rosters`` (every real daycare to its seated children) hold the state
     after the event last yielded; each ``attempt`` event resets both.  A
-    move naming a child or daycare the instance lacks raises
-    :class:`MatchingError`.
+    move naming a child or daycare the instance lacks, or seating a child
+    at a daycare that does not rank it, raises :class:`MatchingError`.
     """
 
     def __init__(self, instance: Instance, trace: ExecutionTrace):
@@ -131,6 +134,8 @@ class Replay:
         known = self.instance.daycares_by_id
         if child not in self.assignment or source not in known or target not in known:
             raise MatchingError(f"trace: move of {child!r} from {source!r} to {target!r} is unknown")
+        if not self.instance.is_acceptable(target, child):
+            raise MatchingError(f"trace: {child!r} is seated at {target!r}, which does not rank it")
         self.assignment[child] = target
         if source != DUMMY_ID:
             self.rosters[source].discard(child)
@@ -150,6 +155,41 @@ class Replay:
                     source = self.assignment.get(child, DUMMY_ID)
                     moves.append(self._move(child, source, daycare))
             yield event, moves
+
+
+def displacement_chains(events) -> list[tuple[tuple[str, ...], tuple[str, ...], int, str | None]]:
+    """Every displacement chain of an event sequence, in creation order.
+
+    A chain is ``(children, daycares, attempt, inserting)``: the placement
+    of ``children[0]`` evicted ``children[1]`` from ``daycares[0]``, whose
+    next placement evicted ``children[2]`` from ``daycares[1]``, and so on.
+    ``attempt`` is the index of the enclosing ``attempt`` event (-1 before
+    any) and ``inserting`` the family of the last ``insert`` event before
+    the chain began (None in the DA phase).  A placement by a child evicted
+    earlier in the same attempt extends that child's chain; any other
+    placement starts one new chain per child it evicts.  Chains never span
+    attempts.
+    """
+    chains: list[tuple[list[str], list[str], int, str | None]] = []
+    open_chain: dict[str, tuple] = {}
+    attempt, inserting = -1, None
+    for event in events:
+        kind = event["kind"]
+        if kind == "attempt":
+            open_chain.clear()
+            attempt, inserting = event["index"], None
+        elif kind == "insert":
+            inserting = event["family"]
+        elif kind == "place":
+            for child, daycare, displacer in event["evicted"]:
+                chain = open_chain.pop(displacer, None)
+                if chain is None:
+                    chain = ([displacer], [], attempt, inserting)
+                    chains.append(chain)
+                chain[0].append(child)
+                chain[1].append(daycare)
+                open_chain[child] = chain
+    return [(tuple(children), tuple(daycares), a, f) for children, daycares, a, f in chains]
 
 
 def replay_trace(instance: Instance, trace: ExecutionTrace) -> Matching:

@@ -19,7 +19,11 @@ from sibmatch.algorithms import (
     run_sda,
 )
 from sibmatch.cli import main
-from sibmatch.diagnostics import rank_lemma_violations, roster_monotonicity_violations
+from sibmatch.diagnostics import (
+    rank_lemma_violations,
+    roster_monotonicity_violations,
+    structure_report,
+)
 from sibmatch.experiment import SweepSpec, run_sweep
 from sibmatch.market import MarketConfig, gen_instance, mallows_sample
 from sibmatch.model import DUMMY_ID, Matching
@@ -288,7 +292,15 @@ def test_smoke_large_market():
     out = run_esda(instance)
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0
+    # 280 sibling families: the ordering sections of `sibmatch inspect`
+    # stay well under a second (one span map, not one per family pair)
+    start = time.perf_counter()
+    sections = structure_report(instance)
+    inspect_elapsed = time.perf_counter() - start
+    assert len(sections["diameter"]) == len(instance.sibling_families)
+    assert inspect_elapsed < 5.0
     report(
         f"smoke PASS: n=3000 ESDA {out.status} in {elapsed:.1f}s "
-        f"({len(out.pi_history)} permutation attempts)"
+        f"({len(out.pi_history)} permutation attempts), "
+        f"structure report in {inspect_elapsed:.2f}s"
     )

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 
 import pytest
@@ -357,6 +358,46 @@ def test_every_attempt_starts_from_the_da_phase():
                 assert replay_trace(inst, ExecutionTrace(heads[-1])) == da
             assert len(heads) >= 2
             assert all(head[1:] == heads[0][1:] for head in heads)
+
+
+# Every failed ESDA and SDA run of three seeded sets: the 300 criterion-3
+# markets, 3,000 ``random_instance(random.Random(1), 12)`` markets and 60
+# generated markets (n in {100, 300}, phi in {0.5, 1.0}, seeds 0-14).  Per
+# set: failures, type-1 failures among them (42 in all), then the sha256
+# of the JSON list of [market, algorithm, kind, chain, permutation,
+# details] rows.  Pins the chains that classification reads off the trace.
+def _failure_markets(name):
+    if name == "criterion-3":
+        return (helpers.oracle_market(k) for k in range(300))
+    if name == "random":
+        rng = random.Random(1)
+        return (helpers.random_instance(rng, 12) for _ in range(3000))
+    return (
+        gen_instance(MarketConfig(n=n, phi=phi, seed=seed))
+        for n in (100, 300)
+        for phi in (0.5, 1.0)
+        for seed in range(15)
+    )
+
+
+PINNED_FAILURES = [
+    ("criterion-3", 9, 6, "2d87a32369b037aa0f95ff791ca649055854564f0bd9ad6323ed64e0cc3f5b56"),
+    ("random", 71, 32, "b75989548df8231cd337053d57be3b97a2ad05a4c776294ef12fed4bd3605c31"),
+    ("generated", 4, 4, "2ef135936e2b8fe50f4147ae569ac6e0647fd608d68887c7587f1b6ffa347ee3"),
+]
+
+
+@pytest.mark.parametrize("name, failures, type1, digest", PINNED_FAILURES, ids=[p[0] for p in PINNED_FAILURES])
+def test_failure_classification_is_pinned(name, failures, type1, digest):
+    rows = []
+    for k, inst in enumerate(_failure_markets(name)):
+        for algo, runner in (("esda", run_esda), ("sda", run_sda)):
+            failure = runner(inst).failure
+            if failure is not None:
+                rows.append([k, algo, failure.kind, failure.chain, failure.permutation, failure.details])
+    assert len(rows) == failures
+    assert sum(row[2] in (TYPE_1A, TYPE_1B) for row in rows) == type1
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == digest
 
 
 # Generated markets restart far more often than ``random_instance`` ones

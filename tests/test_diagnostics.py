@@ -1,9 +1,11 @@
+import hashlib
+import json
 import random
 
 import pytest
 
 import helpers
-from sibmatch.algorithms import run_esda, run_sda
+from sibmatch.algorithms import classify_failure, run_esda, run_sda
 from sibmatch.diagnostics import (
     diameter,
     dominates,
@@ -219,3 +221,64 @@ def test_replays_reject_a_foreign_trace(restart_mkt):
         extract_chains(restart_mkt, trace)
     with pytest.raises(MatchingError, match="unknown"):
         structure_report(restart_mkt, trace)
+    # d1 ranks only c1 and c5
+    unranked = ExecutionTrace([
+        {"kind": "attempt", "index": 0, "pi": [1, 2, 3], "families": ["f1", "f2", "f3"]},
+        {"kind": "place", "family": "f2", "tuple_index": 0,
+         "placed": {"c3": "d1", "c4": "d4"}, "evicted": []},
+        {"kind": "success"},
+    ])
+    for check in (replay_trace, roster_monotonicity_violations, rank_lemma_violations):
+        with pytest.raises(MatchingError, match="does not rank"):
+            check(restart_mkt, unranked)
+
+
+def _type_1_repeat(*final_attempt):
+    return ExecutionTrace([
+        {"kind": "attempt", "index": 0, "pi": [1], "families": ["f1"]},
+        {"kind": "insert", "family": "f1", "position": 0},
+        *final_attempt,
+        {"kind": "repeat", "inserting": "f1", "displaced": "f1", "new_pi": [1]},
+    ])
+
+
+def test_malformed_type_1_traces_raise(sibling_cycle_mkt):
+    placed = {"kind": "place", "family": "f1", "tuple_index": 0,
+              "placed": {"c1": "d1", "c2": "d2"}, "evicted": []}
+    no_eviction = _type_1_repeat(placed)
+    # c3 evicts c2 without ever having been evicted: the chain ends in f1
+    # but cannot be traced back to a child f1 placed
+    foreign_start = _type_1_repeat(
+        placed,
+        {"kind": "place", "family": "f2", "tuple_index": 1,
+         "placed": {"c3": "d2"}, "evicted": [["c2", "d2", "c3"]]},
+    )
+    for trace in (no_eviction, foreign_start):
+        with pytest.raises(ValueError):
+            classify_failure(trace)
+        with pytest.raises(ValueError):
+            structure_report(sibling_cycle_mkt, trace)
+
+
+# sha256 of ``json.dumps(structure_report(inst, run_esda(inst).trace),
+# sort_keys=True)`` on generated markets (n, phi, seed), with the ESDA
+# outcome each pins.
+PINNED_REPORTS = [
+    (60, 1.0, 0, "type-1a", "fc96c7c50a0c753a74ed624024b86164bcbe19eaef38c1998675d2a4dd9485ff"),
+    (100, 0.5, 1, None, "ac2f9648d472a51105777d07f1c31f8d153007c4a92b3381eb3ac92145644d51"),
+    (200, 1.0, 2, None, "61281709df9646c11e65ac74be4a38f141f61aeb1ec2d33f929718faf833d3e7"),
+    (300, 0.5, 3, None, "b82ee078562782c0ac2d69d71883c0d15bf36032e68f451975e0f1db33621251"),
+    (500, 1.0, 4, "type-2-permutation-repeat",
+     "2b6f07494f13a6bf25650628bfb5976d2c2fde853635fe0a6c24ac5d31363e05"),
+    (500, 0.5, 5, None, "d517c37f727238eb70d60fbcba4cf95fb486848e8a46b1e8b55a15f1f463aaae"),
+]
+
+
+@pytest.mark.parametrize("n, phi, seed, kind, digest", PINNED_REPORTS,
+                         ids=[f"n{n}-phi{phi}-seed{seed}" for n, phi, seed, *_ in PINNED_REPORTS])
+def test_structure_reports_are_pinned(n, phi, seed, kind, digest):
+    inst = gen_instance(MarketConfig(n=n, phi=phi, seed=seed))
+    out = run_esda(inst)
+    assert (out.failure.kind if out.failure else None) == kind
+    report = json.dumps(structure_report(inst, out.trace), sort_keys=True)
+    assert hashlib.sha256(report.encode()).hexdigest() == digest
