@@ -445,3 +445,61 @@ def test_applications_of_a_repeated_daycare_and_a_dummy_slot():
     assert first == (("d1", frozenset({"c1", "c3"}), "c1"),)
     assert second == (("d2", frozenset({"c1", "c3"}), "c1"), ("d1", frozenset({"c2"}), "c2"))
     assert first[0][1] is second[0][1]
+
+
+# The trace JSONL of ESDA, SDA and SC and the dumped run_da matching over
+# seeded market sets: per set and runner, the sha256 of the outputs, one a
+# line.  Each row also counts the ESDA placements that evict two children
+# from one daycare and those that evict at two or more daycares, so the
+# eviction order inside one placement is pinned as well.
+def _pin_markets(name):
+    if name == "random":
+        rng = random.Random(1)
+        return (helpers.random_instance(rng, 12) for _ in range(3000))
+    return [gen_instance(MarketConfig(n=500, phi=float(name.removeprefix("n500-phi")), seed=0))]
+
+
+PINNED_OUTPUTS = [
+    ("random", 35, 41, {
+        "esda": "27c9d5dce0117ecb389b4a66f9da4e65c828e50d19bd2ca7cfc133755f744c62",
+        "sda": "ecfd12e1d164de12854d95b27b3cfec83404f8d080ef09955f7abae0b55a8e7b",
+        "sc": "c5f59590ce837baf9daded834d2c674cea5f2812bd9cf33fa09b74c5761b5ba0",
+        "da": "bf91803237696c6ee7764f86d0ccad591c8c172985a671aa36b7d6ebbd080747",
+    }),
+    ("n500-phi0", 0, 85, {
+        "esda": "76157824b07df1bc2104658c95a1f75a861f5a6e0c0307f884c719b620302c74",
+        "sda": "76157824b07df1bc2104658c95a1f75a861f5a6e0c0307f884c719b620302c74",
+        "sc": "8806a6a085e5b630c00a3b29797f596efcf3a27c6dad84d445d965e4f083db62",
+        "da": "b06ab5b9cd1904d5e5524ed8f79ba383cbd442737e66940055d8a6a7a714afa8",
+    }),
+    ("n500-phi0.5", 0, 69, {
+        "esda": "75a84b23cefdc730ee0c7a7111ccf7c79f9e3f97bb70b94a89dfc197a0da1d77",
+        "sda": "75a84b23cefdc730ee0c7a7111ccf7c79f9e3f97bb70b94a89dfc197a0da1d77",
+        "sc": "2660326e74f87aa895098f1611052feaadc0c592d6d5b57555590248bd99d67c",
+        "da": "7422c71ce51a2a3cfc5ba5570123ca87bc6e9724689f95e434398b8e0c1f1186",
+    }),
+    ("n500-phi1", 0, 9, {
+        "esda": "d078e7bc3c814df5156d47ad034b3f414e92d247a2f91cdc130955f80de9f2ae",
+        "sda": "d078e7bc3c814df5156d47ad034b3f414e92d247a2f91cdc130955f80de9f2ae",
+        "sc": "4bfdfc9bfb94f8744948906f9daec115803a6a041a16967fc3ad9e5613ad3ecf",
+        "da": "7911b3daed845a62fa22a85ba93847bb6f771de32a6a6dc4bd1197c52ded0472",
+    }),
+]
+
+
+@pytest.mark.parametrize("name, same_daycare, two_daycares, digests", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
+def test_outputs_are_pinned(name, same_daycare, two_daycares, digests):
+    hashes = {algo: hashlib.sha256() for algo in digests}
+    counts = [0, 0]
+    for inst in _pin_markets(name):
+        traces = {"esda": run_esda(inst).trace, "sda": run_sda(inst).trace, "sc": run_sc(inst).trace}
+        for algo, trace in traces.items():
+            hashes[algo].update(trace.to_jsonl().encode() + b"\n")
+        hashes["da"].update(dump_matching(run_da(inst)).encode() + b"\n")
+        for event in traces["esda"]:
+            if event["kind"] == "place":
+                daycares = [d for _, d, _ in event["evicted"]]
+                counts[0] += len(set(daycares)) < len(daycares)
+                counts[1] += len(set(daycares)) > 1
+    assert counts == [same_daycare, two_daycares]
+    assert {algo: h.hexdigest() for algo, h in hashes.items()} == digests
