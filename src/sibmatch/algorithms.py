@@ -1,15 +1,18 @@
 """The four matching procedures: DA, SC, SDA, and ESDA.
 
-All four share one proposal engine and its one proposal loop.  A family
-walks its preference list; a tuple is accepted only if no distinct
-non-dummy daycare of the tuple refuses any of the family's applicants
-(``Instance.applications``) under ``stability.select``, which also names
-the seated children the placement evicts.  A proposing family never
-holds a seat, so each roster goes to ``select`` as it is.  The loop
-proposes queued families in FIFO order and queues every displaced
-singleton family; it stops at the first eviction of a sibling-family
-child.  Deferred acceptance is that loop over the singleton families;
-inserting a sibling family is that loop started from the family alone.
+All four share one proposal engine, which starts with every child
+unmatched, and its one proposal step and loop.  In the step
+(``propose``) a family walks its preference list; a tuple is accepted
+only if no distinct non-dummy daycare of the tuple refuses any of the
+family's applicants (``Instance.applications``) under
+``stability.select``, which also names the seated children the placement
+evicts.  The same step logs a refusal, or applies the evictions and
+seats the family.  A proposing family never holds a seat, so each roster
+goes to ``select`` as it is.  The loop proposes queued families in FIFO
+order and queues every displaced singleton family; it stops at the first
+eviction of a sibling-family child.  Deferred acceptance is that loop
+over the singleton families; inserting a sibling family is that loop
+started from the family alone.
 
 * ``run_da``: children-proposing deferred acceptance over single-child
   families only; always succeeds.
@@ -132,24 +135,18 @@ class _ScClash(Exception):
 
 
 class _Engine:
-    """Mutable per-run matching state shared by all four procedures."""
+    """Mutable per-run matching state shared by all four procedures; it
+    starts with every child unmatched and every pointer at 0."""
 
     def __init__(self, instance: Instance, trace: ExecutionTrace):
         self.inst = instance
         self.trace = trace
         self.rank = instance.rank
         self.quota = instance.quota
-        self.fs_ids: list[str] = list(instance.sibling_families)
-        self.fo_ids: list[str] = list(instance.singleton_families)
         self.applications = instance.applications
-        self.roster: dict[str, set[str]] = {}
-        self.assign: dict[str, str] = {}
-        self.pos: dict[str, int] = {}
-
-    def reset(self) -> None:
-        self.roster = {d.id: set() for d in self.inst.daycares if d.id != DUMMY_ID}
-        self.assign = {child: DUMMY_ID for child, _ in self.inst.children}
-        self.pos = {f.id: 0 for f in self.inst.families}
+        self.roster = {d.id: set() for d in instance.daycares if d.id != DUMMY_ID}
+        self.assign = {child: DUMMY_ID for child, _ in instance.children}
+        self.pos = {f.id: 0 for f in instance.families}
 
     def restore(self, roster, assign, pos) -> None:
         """Set the matching state to copies of the given one."""
@@ -157,75 +154,53 @@ class _Engine:
         self.assign = dict(assign)
         self.pos = dict(pos)
 
-    # -- tuple evaluation -------------------------------------------------
-
-    def eval_tuple(self, fam: Family, j: int):
-        """Run every involved choice function on the family's ``j``-th
-        tuple; no state is modified.
-
-        Returns ``(evictions, None)`` if no daycare refuses an applicant,
-        else ``(None, (daycare, refused_children))`` for the first that
-        does.  Evictions are ``(child, daycare, displacer)``, daycares by
-        first occurrence in the tuple, then children by priority rank;
-        the displacer is the family child that applied to the daycare.
-        """
-        evictions: list[tuple[str, str, str]] = []
-        for d, apps, displacer in self.applications[fam.id][j]:
-            refused, evicted = select(self.roster[d], apps, self.rank[d], self.quota[d])
-            if refused:
-                return None, (d, refused)
-            evictions.extend((c, d, displacer) for c in evicted)
-        return evictions, None
-
-    def place(self, fam: Family, j: int, evicted) -> list:
-        """Commit an accepted tuple and the evictions ``eval_tuple``
-        computed for it; returns the evictions."""
-        for c, d, _ in evicted:
-            self.roster[d].discard(c)
-            self.assign[c] = DUMMY_ID
-        tup = fam.preferences[j]
-        for child, d in zip(fam.children, tup):
-            self.assign[child] = d
-            if d != DUMMY_ID:
-                self.roster[d].add(child)
-        self.trace.append(
-            "place",
-            family=fam.id,
-            tuple_index=j,
-            placed={c: d for c, d in zip(fam.children, tup)},
-            evicted=[list(e) for e in evicted],
-        )
-        return evicted
+    # -- the proposal step --------------------------------------------------
 
     def propose(self, fam: Family, apply_hook=None) -> list:
         """Walk the family's list from its pointer until placed or exhausted.
 
-        Returns the evictions of the placement (none if exhausted).  The
-        pointer ends one past the accepted tuple, so a later re-proposal
-        resumes with daycares not yet examined.  ``apply_hook(fam, d)`` is
-        called for every distinct non-dummy daycare of every tried tuple
-        before it is evaluated (the SC clash rule lives there).
+        A tuple runs the choice function of each of its distinct non-dummy
+        daycares.  The first daycare that refuses an applicant is logged as
+        a ``reject``; if none does, the evictions ``[child, daycare,
+        displacer]`` are applied (daycares by first occurrence in the
+        tuple, then children by priority rank; the displacer is the family
+        child that applied), the family is seated and the ``place`` logged.
+
+        Returns the evictions (the ``place`` event's list, so read-only;
+        none if exhausted).  The pointer ends one past the accepted tuple,
+        so a later re-proposal resumes with daycares not yet examined.
+        ``apply_hook(fam, d)`` is called for every daycare of every tried
+        tuple before it is evaluated (the SC clash rule lives there).
         """
         applications = self.applications[fam.id]
         while self.pos[fam.id] < len(applications):
             j = self.pos[fam.id]
+            self.pos[fam.id] = j + 1
             if apply_hook is not None:
                 for d, _, _ in applications[j]:
                     apply_hook(fam, d)
-            evicted, refusal = self.eval_tuple(fam, j)
-            if evicted is None:
-                d, refused = refusal
+            evicted = []
+            for d, apps, displacer in applications[j]:
+                refused, out = select(self.roster[d], apps, self.rank[d], self.quota[d])
+                if refused:
+                    self.trace.append(
+                        "reject", family=fam.id, tuple_index=j, daycare=d, children=sorted(refused)
+                    )
+                    break
+                evicted.extend([c, d, displacer] for c in out)
+            else:
+                for c, d, _ in evicted:
+                    self.roster[d].discard(c)
+                    self.assign[c] = DUMMY_ID
+                placed = dict(zip(fam.children, fam.preferences[j]))
+                for child, d in placed.items():
+                    self.assign[child] = d
+                    if d != DUMMY_ID:
+                        self.roster[d].add(child)
                 self.trace.append(
-                    "reject",
-                    family=fam.id,
-                    tuple_index=j,
-                    daycare=d,
-                    children=sorted(refused),
+                    "place", family=fam.id, tuple_index=j, placed=placed, evicted=evicted
                 )
-                self.pos[fam.id] = j + 1
-                continue
-            self.pos[fam.id] = j + 1
-            return self.place(fam, j, evicted)
+                return evicted
         self.trace.append("exhausted", family=fam.id)
         return []
 
@@ -254,9 +229,6 @@ class _Engine:
         current = fam.tuple_rank(tuple(self.assign[c] for c in fam.children))
         witness = blocking_coalition_of(self.inst, fam, current, self.roster, "ours")
         return None if witness is None else witness.tuple_index
-
-    def matching(self) -> Matching:
-        return Matching(self.inst, self.assign)
 
 
 def _reinsert(pi: tuple[int, ...], moving: int, before: int) -> tuple[int, ...]:
@@ -290,36 +262,33 @@ def run_da(instance: Instance, scope=None) -> Matching:
             if fam.size != 1:
                 raise ValueError(f"scope: family {fid!r} has {fam.size} children")
     engine = _Engine(instance, ExecutionTrace())
-    engine.reset()
     engine.cascade(deque(scope_ids))
-    return engine.matching()
+    return Matching(instance, engine.assign)
 
 
 def _run_sorted(instance: Instance, improvement: bool) -> AlgorithmOutcome:
-    """Shared SDA/ESDA driver; ``improvement`` adds the ESDA check."""
+    """Shared SDA/ESDA driver; ``improvement`` adds the ESDA check.  An
+    attempt returns (success, improvement, repeat) or restarts."""
     # The singleton DA phase ignores pi: run it once, and start every
     # attempt from its end state and its events.
     engine = _Engine(instance, ExecutionTrace())
-    engine.reset()
-    engine.cascade(deque(engine.fo_ids))
+    engine.cascade(deque(instance.singleton_families))
     da_events = engine.trace.events
     da_state = (engine.roster, engine.assign, engine.pos)
     trace = engine.trace = ExecutionTrace()
-    fs = engine.fs_ids
+    fs = instance.sibling_families
     fs_index = {fid: k for k, fid in enumerate(fs)}
     pi = tuple(range(len(fs)))
-    attempted = {pi}
-    attempt_no = 0
+    attempted: set[tuple[int, ...]] = set()
 
     while True:
         trace.append(
-            "attempt", index=attempt_no, pi=_one_based(pi), families=[fs[k] for k in pi]
+            "attempt", index=len(attempted), pi=_one_based(pi), families=[fs[k] for k in pi]
         )
-        attempt_no += 1
+        attempted.add(pi)
         trace.events.extend(da_events)
         engine.restore(*da_state)
 
-        outcome = None
         for position, idx in enumerate(pi):
             fam = instance.families_by_id[fs[idx]]
             trace.append("insert", family=fam.id, position=position)
@@ -327,40 +296,25 @@ def _run_sorted(instance: Instance, improvement: bool) -> AlgorithmOutcome:
             if hit is not None:
                 displaced = hit[0]
                 new_pi = _reinsert(pi, idx, fs_index[displaced])
-                if new_pi in attempted:
-                    trace.append(
-                        "repeat",
-                        inserting=fam.id,
-                        displaced=displaced,
-                        new_pi=_one_based(new_pi),
-                    )
-                    outcome = AlgorithmOutcome(
-                        "failure", None, classify_failure(trace), trace
-                    )
-                else:
-                    attempted.add(new_pi)
-                    trace.append(
-                        "restart",
-                        inserting=fam.id,
-                        displaced=displaced,
-                        new_pi=_one_based(new_pi),
-                    )
-                    pi = new_pi
-                    outcome = "restart"
+                repeat = new_pi in attempted
+                trace.append(
+                    "repeat" if repeat else "restart",
+                    inserting=fam.id,
+                    displaced=displaced,
+                    new_pi=_one_based(new_pi),
+                )
+                if repeat:
+                    return AlgorithmOutcome("failure", None, classify_failure(trace), trace)
+                pi = new_pi
                 break
             if improvement:
                 j = engine.improvable(fam)
                 if j is not None:
                     trace.append("improvement", family=fam.id, tuple_index=j)
-                    outcome = AlgorithmOutcome(
-                        "failure", None, classify_failure(trace), trace
-                    )
-                    break
-        if outcome is None:
+                    return AlgorithmOutcome("failure", None, classify_failure(trace), trace)
+        else:
             trace.append("success")
-            return AlgorithmOutcome("success", engine.matching(), None, trace)
-        if outcome != "restart":
-            return outcome
+            return AlgorithmOutcome("success", Matching(instance, engine.assign), None, trace)
 
 
 def run_sda(instance: Instance) -> AlgorithmOutcome:
@@ -385,12 +339,12 @@ def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
     """
     trace = ExecutionTrace()
     engine = _Engine(instance, trace)
-    fs = engine.fs_ids
+    fs = instance.sibling_families
     if pi is None:
         pi = tuple(range(len(fs)))
     else:
         pi = tuple(pi)
-        if sorted(pi) != list(range(len(fs))):
+        if not all(isinstance(k, int) for k in pi) or sorted(pi) != list(range(len(fs))):
             raise ValueError(f"pi must be a permutation of 0..{len(fs) - 1}")
 
     applied_fs: set[str] = set()
@@ -409,9 +363,8 @@ def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
             raise _ScClash
 
     trace.append("attempt", index=0, pi=_one_based(pi), families=[fs[k] for k in pi])
-    engine.reset()
     try:
-        engine.cascade(deque(engine.fo_ids))
+        engine.cascade(deque(instance.singleton_families))
         for position, idx in enumerate(pi):
             fam = instance.families_by_id[fs[idx]]
             trace.append("insert", family=fam.id, position=position)
@@ -429,7 +382,7 @@ def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
     except _ScClash:
         return AlgorithmOutcome("failure", None, classify_failure(trace), trace)
     trace.append("success")
-    return AlgorithmOutcome("success", engine.matching(), None, trace)
+    return AlgorithmOutcome("success", Matching(instance, engine.assign), None, trace)
 
 
 # -- failure classification ------------------------------------------------
@@ -469,7 +422,10 @@ def classify_failure(trace: ExecutionTrace) -> FailureKind:
                 TYPE_2_PERMUTATION_REPEAT, permutation=tuple(terminal["new_pi"])
             )
         # The terminal chain holds the final attempt's last eviction.
-        events = trace.attempts()[-1]
+        attempts = trace.attempts()
+        if not attempts:
+            raise ValueError("trace has no attempt event")
+        events = attempts[-1]
         evictions = [x for e in events if e["kind"] == "place" for x in e["evicted"]]
         if not evictions:
             raise ValueError("trace has no evictions in its final attempt")

@@ -111,12 +111,7 @@ def _cmd_inspect(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    try:
-        spec = spec_from_json(_read(args.spec))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = run_sweep(spec, jobs=args.jobs)
+    report = run_sweep(spec_from_json(_read(args.spec)), jobs=args.jobs)
     _write(args.out, render_report(report, args.format))
     return 0
 

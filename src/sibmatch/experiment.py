@@ -26,7 +26,7 @@ import statistics
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from sibmatch.algorithms import run_da, run_esda, run_sc, run_sda
 from sibmatch.market import MarketConfig, gen_instance
@@ -37,6 +37,26 @@ from sibmatch.stability import is_stable
 ALGORITHMS = ("da", "sc", "sda", "esda", "exact-ours", "exact-abh")
 
 __all__ = ["ALGORITHMS", "CellStats", "ExperimentReport", "SweepSpec", "instance_seed", "render_report", "run_sweep"]
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _is_int_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
+
+
+# The type check of each MarketConfig field a spec's ``base`` may set.
+_BASE_CHECKS = {
+    f.name: {"int": _is_int, "float": _is_real, "tuple[int, ...]": _is_int_list}[f.type]
+    for f in fields(MarketConfig)
+    if f.name not in ("n", "phi", "seed")
+}
 
 
 @dataclass(frozen=True)
@@ -58,32 +78,53 @@ class SweepSpec:
     exact_max_millis: int = 10_000
 
     def __post_init__(self):
+        for key in ("trials", "seed", "exact_cap", "exact_max_nodes", "exact_max_millis"):
+            if not _is_int(getattr(self, key)):
+                raise ValueError(f"{key} must be an integer")
+        if not isinstance(self.base, dict):
+            raise ValueError("base must be an object")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for n in self.sizes:
+            if not _is_int(n) or n < 1:
+                raise ValueError(f"size {n!r} is not a positive integer")
         for phi in self.phis:
-            if not 0.0 <= phi <= 1.0:
-                raise ValueError(f"phi {phi} outside [0, 1]")
+            if not _is_real(phi) or not 0.0 <= phi <= 1.0:
+                raise ValueError(f"phi {phi!r} outside [0, 1]")
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        for key in self.base:
+        for key, value in self.base.items():
             if key in ("n", "phi", "seed"):
                 raise ValueError(f"base may not override {key!r}")
+            check = _BASE_CHECKS.get(key)
+            if check is None:
+                raise ValueError(f"base: unknown MarketConfig field {key!r}")
+            if not check(value):
+                raise ValueError(f"base: {key} has the wrong type")
+        for n in self.sizes:
+            try:
+                _market_config(self.base, n, 0.0, self.seed)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"base: {exc} (size {n})") from None
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SweepSpec":
-        known = {
-            "sizes", "phis", "trials", "algorithms", "base", "seed",
-            "exact_cap", "exact_max_nodes", "exact_max_millis",
-        }
-        unknown = set(data) - known
+    def from_dict(cls, data) -> "SweepSpec":
+        """The spec of a JSON object; raises ValueError naming the key of
+        any field that is unknown or of the wrong type or range."""
+        if not isinstance(data, dict):
+            raise ValueError("spec must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        out = dict(data)
-        out["sizes"] = tuple(out.get("sizes", ()))
-        out["phis"] = tuple(float(p) for p in out.get("phis", ()))
-        if "algorithms" in out:
-            out["algorithms"] = tuple(out["algorithms"])
+        out = {"sizes": (), "phis": (), **data}
+        for key in ("sizes", "phis", "algorithms"):
+            if key in out:
+                if not isinstance(out[key], (list, tuple)):
+                    raise ValueError(f"{key} must be a list")
+                out[key] = tuple(out[key])
+        # Only phis __post_init__ accepts become floats; it rejects the rest.
+        out["phis"] = tuple(float(p) if _is_real(p) and 0 <= p <= 1 else p for p in out["phis"])
         return cls(**out)
 
     def to_dict(self) -> dict:

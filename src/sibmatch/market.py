@@ -81,6 +81,8 @@ class MarketConfig:
             raise ValueError("alpha must lie in [0, 1]")
         if not 0.0 <= self.phi <= 1.0:
             raise ValueError("phi must lie in [0, 1]")
+        if not all(map(math.isfinite, (self.sigma, self.epsilon, self.daycare_ratio))):
+            raise ValueError("sigma, epsilon and daycare_ratio must be finite")
         if self.sigma < 1.0:
             raise ValueError("sigma must be >= 1")
         if self.epsilon < 0.0:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from sibmatch import algorithms, stability
 from sibmatch.algorithms import (
     IMPROVEMENT_FAILURE,
     SC_APPLICATION_CLASH,
@@ -161,6 +162,9 @@ def test_sc_clash_on_self_cycle(self_cycle_mkt):
 def test_sc_rejects_bad_permutation(order_flip_mkt):
     with pytest.raises(ValueError, match="permutation"):
         run_sc(order_flip_mkt, pi=(0, 0))
+    # equal to [0, 1] under ==, but not positions
+    with pytest.raises(ValueError, match="permutation"):
+        run_sc(order_flip_mkt, pi=(0.0, 1.0))
 
 
 def test_sc_fails_on_synthetic_market():
@@ -253,6 +257,27 @@ def test_exhausted_family_rests_unmatched():
     assert out.succeeded
     assert out.matching.family_tuple(inst.families_by_id["f1"]) == ("d0", "d0")
     assert out.matching["c3"] == "d1"
+
+
+def test_select_is_looked_up_at_call_time(monkeypatch):
+    """The benchmark's tracer counts choice-function calls by replacing
+    ``select`` in ``algorithms`` and in ``stability``; the engine and ESDA's
+    improvement check must call whatever those names hold."""
+    calls = dict.fromkeys((algorithms, stability), 0)
+    for module in calls:
+        def counting(*args, module=module, original=module.select):
+            calls[module] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, "select", counting)
+    inst = gen_instance(MarketConfig(n=200, phi=0.5, seed=0))
+    for runner in (run_da, run_sc, run_esda):
+        before = calls[algorithms]
+        runner(inst)
+        assert calls[algorithms] > before, runner.__name__
+    before = calls[stability]
+    run_esda(inst)
+    assert calls[stability] > before
 
 
 def test_trace_jsonl_roundtrip(restart_mkt):

@@ -128,6 +128,16 @@ def test_experiment_config_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value", [("base", {"foo": 1}), ("sizes", 5), ("trials", "3"), ("exact_cap", None)]
+)
+def test_experiment_wrong_spec_field_exits_2(tmp_path, capsys, field, value):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"sizes": [10], "phis": [0.5], field: value}))
+    assert main(["experiment", "--spec", str(spec_path), "--out", "-"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_missing_file_reports_error(capsys):
     assert main(["solve", "--instance", "/nonexistent.json", "--algo", "da"]) == 2
     assert "error" in capsys.readouterr().err

@@ -253,7 +253,9 @@ def test_malformed_type_1_traces_raise(sibling_cycle_mkt):
         {"kind": "place", "family": "f2", "tuple_index": 1,
          "placed": {"c3": "d2"}, "evicted": [["c2", "d2", "c3"]]},
     )
-    for trace in (no_eviction, foreign_start):
+    # a type-1 repeat with no attempt to read its chain from
+    no_attempt = ExecutionTrace([{"kind": "repeat", "inserting": "f1", "displaced": "f1", "new_pi": [1]}])
+    for trace in (no_eviction, foreign_start, no_attempt):
         with pytest.raises(ValueError):
             classify_failure(trace)
         with pytest.raises(ValueError):

@@ -1,7 +1,12 @@
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sibmatch import experiment
 from sibmatch.experiment import (
+    ALGORITHMS,
     ExperimentReport,
     SweepSpec,
     instance_seed,
@@ -153,6 +158,64 @@ def test_spec_validation():
         spec_from_json('{"sizes": [10], "phis": [0.5], "bogus": 1}')
     with pytest.raises(ValueError, match="invalid spec JSON"):
         spec_from_json("{nope")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("trials", "3"),
+        ("trials", True),
+        ("sizes", 5),
+        ("sizes", ["a"]),
+        ("sizes", [0]),
+        ("phis", [None]),
+        ("base", [1]),
+        ("base", {"foo": 1}),
+        ("base", {"K": 2.5}),
+        ("base", {"capacity_profile": "abc"}),
+        ("base", {"alpha": 2.0}),
+        ("base", {"sigma": float("inf")}),
+        ("exact_cap", None),
+    ],
+)
+def test_spec_rejects_wrong_fields(field, value):
+    data = {"sizes": [10], "phis": [0.5], field: value}
+    with pytest.raises(ValueError, match=field.rstrip("s")):
+        spec_from_json(json.dumps(data))
+
+
+def test_spec_rejects_a_non_object():
+    with pytest.raises(ValueError, match="object"):
+        spec_from_json("[1, 2]")
+
+
+VALID_SPEC = dict(small_spec().to_dict(), base={**SMALL_BASE, "capacity_profile": [5, 5, 1]})
+SPEC_KEYS = st.sampled_from(sorted(VALID_SPEC) + sorted(experiment._BASE_CHECKS) + ["n", "x"])
+SPEC_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.sampled_from(ALGORITHMS),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SPEC_KEYS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def assert_spec_or_value_error(data):
+    try:
+        assert isinstance(SweepSpec.from_dict(data), SweepSpec)
+    except ValueError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=SPEC_VALUES)
+def test_spec_total_on_any_json(data):
+    assert_spec_or_value_error(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(key=st.sampled_from(sorted(VALID_SPEC)), base_key=SPEC_KEYS, value=SPEC_VALUES)
+def test_spec_total_on_one_field_changes(key, base_key, value):
+    assert_spec_or_value_error({**VALID_SPEC, key: value})
+    assert_spec_or_value_error({**VALID_SPEC, "base": {**VALID_SPEC["base"], base_key: value}})
 
 
 def test_spec_roundtrip():

@@ -395,3 +395,8 @@ def test_market_config_validation():
         MarketConfig(n=10, phi=0.5, sigma=0.9)
     with pytest.raises(ValueError):
         MarketConfig(n=500, phi=0.5, K=2)  # three-sibling families need K >= 3
+    # an infinite sigma made generation run without end
+    for field in ("sigma", "epsilon", "daycare_ratio"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                MarketConfig(n=10, phi=0.5, **{field: value})
