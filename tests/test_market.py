@@ -340,6 +340,8 @@ PINNED_MARKETS = [
     (MarketConfig(n=500, phi=1.0, seed=3), "3d3ae2a1a21cbce516e4f83bd1c7759c1540bf351251f7ae5092825cf3e066c8"),
     # mean displacement ~n/4 = 300 per insert: the decode's array path
     (MarketConfig(n=1200, phi=1.0, seed=4), "14989cce04db619435fa4c91717b0d8c5c87ee95b74a5377a96b1f74c99b17ed"),
+    # the size of the n3000 benchmark markets: 268 physical daycares, 1,608 units
+    (MarketConfig(n=3000, phi=0.5, seed=0), "2db302ff160288890cc712eac19f7fc8ecf5b389eb48c68ec0eabed1bbb164e6"),
     # two markets of the criterion-3 oracle set (k = 0 and 1)
     (
         MarketConfig(n=6, phi=0.3, alpha=0.4, L=2, sigma=2.0, daycare_ratio=0.5,
@@ -357,7 +359,10 @@ PINNED_MARKETS = [
 @pytest.mark.parametrize(
     "cfg, digest",
     PINNED_MARKETS,
-    ids=["n500-phi0", "n500-phi0.5", "n500-phi1", "n1200-phi1", "oracle-0", "oracle-1"],
+    ids=[
+        "n500-phi0", "n500-phi0.5", "n500-phi1", "n1200-phi1", "n3000-phi0.5",
+        "oracle-0", "oracle-1",
+    ],
 )
 def test_gen_instance_bytes_are_pinned(cfg, digest):
     text = dump_instance(gen_instance(cfg))
