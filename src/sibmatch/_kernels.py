@@ -9,13 +9,16 @@ implementation and is recorded next to benchmark results.
 from __future__ import annotations
 
 from array import array
+from collections import deque
+
+import numpy as np
 
 __all__ = ["BACKEND", "count_inversions", "decode_insertions"]
 
 BACKEND = "python"
 
 
-def decode_insertions(displacements) -> list[int]:
+def decode_insertions(displacements) -> np.ndarray:
     """Materialise a permutation from per-item displacement counts.
 
     Items ``0..n-1`` are processed in order; item ``i`` is inserted into
@@ -24,20 +27,30 @@ def decode_insertions(displacements) -> list[int]:
     number of pairwise inversions of the result equals
     ``sum(displacements)``.
 
-    That sum is also the number of elements the inserts shift, which
-    sets the cost.  CPython's ``list.insert`` moves the shifted pointers
-    one at a time, while ``array.insert`` moves 2-byte items with one
-    ``memmove`` but costs more per call.  So rows whose mean shift
-    exceeds 200 items (and whose items fit in 16 bits) are built in an
-    ``array('H')``, and all others in a list; the result is the same.
+    The row is checked with numpy first: anything but one row of
+    integers raises ``ValueError``, and so does an entry outside
+    ``0..i``, naming the first bad index.
+    The inserts then run in C (``map`` over ``array.insert``, drained by
+    a ``deque``) into an ``array`` of 2-byte items, or 4-byte items when
+    the row is longer than 65,536, so each insert shifts the items after
+    it with one ``memmove``.  The result is an integer ndarray viewing
+    that array.
     """
-    n = len(displacements)
-    out = array("H") if n <= 65536 and sum(displacements) > 200 * n else []
-    for i, v in enumerate(displacements):
-        if v < 0 or v > i:
-            raise ValueError(f"displacement {v} out of range at index {i}")
-        out.insert(i - v, i)
-    return out if type(out) is list else out.tolist()
+    v = np.asarray(displacements)
+    if v.ndim != 1 or (v.size and not np.issubdtype(v.dtype, np.integer)):
+        raise ValueError(
+            f"displacements must be one row of integers, not a {v.ndim}-d {v.dtype} array"
+        )
+    n = len(v)
+    index = np.arange(n)
+    bad = np.flatnonzero((v < 0) | (v > index))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"displacement {v[i].item()} out of range at index {i}")
+    positions = (index - v.astype(np.int64, copy=False)).tolist()
+    out = array("H" if n <= 65536 else "I")
+    deque(map(out.insert, positions, range(n)), maxlen=0)
+    return np.frombuffer(out, dtype=out.typecode)
 
 
 def count_inversions(seq) -> int:

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Iterable
 
 from sibmatch.model import DUMMY_ID, Family, Instance, Matching
 from sibmatch.stability import blocking_coalition_of, select
@@ -249,11 +250,18 @@ def run_da(instance: Instance, scope=None) -> Matching:
 
     ``scope`` is an iterable of family ids, all of which must have exactly
     one child; it defaults to every single-child family.  Children outside
-    the scope stay unmatched.
+    the scope stay unmatched.  Any other scope, a bare id string included,
+    raises ``ValueError``.
     """
     if scope is None:
         scope_ids = list(instance.singleton_families)
     else:
+        if isinstance(scope, str) or not isinstance(scope, Iterable):
+            raise ValueError("scope: expected an iterable of family ids")
+        scope = tuple(scope)
+        for fid in scope:
+            if not isinstance(fid, str):
+                raise ValueError(f"scope: unknown family {fid!r}")
         scope_ids = sorted(set(scope))
         for fid in scope_ids:
             fam = instance.families_by_id.get(fid)
@@ -331,7 +339,8 @@ def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
     """Sequential couples baseline.
 
     ``pi`` is a permutation given as 0-based positions into the id-sorted
-    sibling-family list (default: identity).  The run fails with
+    sibling-family list (default: identity); anything else, booleans
+    included, raises ``ValueError``.  The run fails with
     ``sc-application-clash`` the moment a displaced singleton applies to
     any daycare a sibling-family child has ever applied to, or a sibling
     family's child loses a seat.  Sibling families are inserted once each,
@@ -343,8 +352,12 @@ def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
     if pi is None:
         pi = tuple(range(len(fs)))
     else:
-        pi = tuple(pi)
-        if not all(isinstance(k, int) for k in pi) or sorted(pi) != list(range(len(fs))):
+        pi = tuple(pi) if isinstance(pi, Iterable) else None
+        if (
+            pi is None
+            or not all(isinstance(k, int) and not isinstance(k, bool) for k in pi)
+            or sorted(pi) != list(range(len(fs)))
+        ):
             raise ValueError(f"pi must be a permutation of 0..{len(fs) - 1}")
 
     applied_fs: set[str] = set()

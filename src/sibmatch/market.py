@@ -242,31 +242,42 @@ def _displacements(n: int, phi: float, rng, count: int) -> np.ndarray:
     return np.clip(v, 0, i)
 
 
-def mallows_sample(reference, phi: float, rng, size: int | None = None) -> list:
+def mallows_sample(reference, phi: float, rng, size: int | None = None):
     """Exact Mallows draw around a reference ordering.
 
     Sequential-insertion sampling: the normalising constant is never
     materialised.  ``phi=0`` returns a copy of the reference without
     touching ``rng``; ``phi=1`` is uniform over all permutations.
 
-    ``size`` follows numpy's convention: ``None`` returns one draw (a
-    list), an integer ``k`` returns a list of ``k`` draws equal to ``k``
-    successive single draws from the same generator, and leaves the
-    generator in the same state.
+    An ndarray reference gives ndarray draws; any other reference gives
+    lists of its items.  ``size`` follows numpy's convention: ``None``
+    returns one draw, an integer ``k`` returns ``k`` draws (a ``(k, n)``
+    array, or a list of ``k`` lists) equal to ``k`` successive single
+    draws from the same generator, and leaves the generator in the same
+    state.  All ``k`` draws are decoded in one kernel call on their
+    displacement rows laid end to end: each v_i is at most i, so row r
+    fills its own block ``r*n .. r*n+n-1``.
     """
     if not 0.0 <= phi <= 1.0:
         raise ValueError("phi must lie in [0, 1]")
     if size is not None and size < 0:
         raise ValueError("size must be >= 0")
-    items = list(reference.ordering if isinstance(reference, ReferenceOrdering) else reference)
+    if isinstance(reference, ReferenceOrdering):
+        reference = reference.ordering
+    n = len(reference)
     count = 1 if size is None else size
     if phi == 0.0:
-        draws = [items.copy() for _ in range(count)]
+        positions = np.broadcast_to(np.arange(n), (count, n))
     else:
-        rows = _displacements(len(items), phi, rng, count).tolist()
+        rows = _displacements(n, phi, rng, count)
         # Looked up on the module at call time so a tracer can wrap it.
-        decode = _kernels.decode_insertions
-        draws = [list(map(items.__getitem__, decode(row))) for row in rows]
+        flat = _kernels.decode_insertions(rows.ravel())
+        positions = flat.reshape(count, n) - n * np.arange(count)[:, None]
+    if isinstance(reference, np.ndarray):
+        draws = reference[positions]
+    else:
+        items = list(reference)
+        draws = [list(map(items.__getitem__, row)) for row in positions.tolist()]
     return draws[0] if size is None else draws
 
 
@@ -291,20 +302,25 @@ def _gen_daycares(phys, reference, ages, cfg: MarketConfig, rng) -> list[Daycare
     """The dummy, then one unit per physical daycare and age group.
 
     One Mallows call per physical daycare draws the priorities of all its
-    units; each unit keeps the children of its age group.  The per-age
-    sets and the draws are freed on return, before ``Instance`` builds
-    its tables.
+    units as positions in the reference ordering.  One mask of the
+    reference ages against each unit's age keeps each unit's children,
+    and the kept positions are mapped to child ids once.
     """
-    of_age: list[set[str]] = [set() for _ in cfg.capacity_profile]
-    for c, a in ages.items():
-        of_age[a].add(c)
+    order = reference.ordering
+    age_of = np.array([ages[c] for c in order], dtype=np.int64)
+    unit_ages = np.arange(len(cfg.capacity_profile))[:, None]
     daycares = [Daycare(id=DUMMY_ID, quota=None, priority=())]
     for p in phys:
-        draws = mallows_sample(reference, cfg.phi, rng, size=len(of_age))
-        for age, draw in enumerate(draws):
-            priority = tuple(filter(of_age[age].__contains__, draw))
+        draws = mallows_sample(np.arange(len(order)), cfg.phi, rng, size=len(unit_ages))
+        mask = age_of[draws] == unit_ages
+        kept = map(order.__getitem__, draws[mask].tolist())
+        for age, size in enumerate(mask.sum(axis=1).tolist()):
             daycares.append(
-                Daycare(id=_unit_id(p, age), quota=cfg.capacity_profile[age], priority=priority)
+                Daycare(
+                    id=_unit_id(p, age),
+                    quota=cfg.capacity_profile[age],
+                    priority=tuple(itertools.islice(kept, size)),
+                )
             )
     return daycares
 

@@ -104,6 +104,24 @@ class Daycare:
         return self.quota is None
 
 
+def _raise_priority_error(path: str, priority: tuple, family_of: Mapping) -> None:
+    """Raise the error of a priority's first bad entry, naming the path.
+
+    ``Instance`` builds each rank table in one step and calls this only
+    when that step finds a duplicate, an unknown child or an unhashable
+    entry, so the per-entry scan runs only to name it.
+    """
+    seen: set = set()
+    for i, child in enumerate(priority):
+        if not isinstance(child, str):
+            raise InstanceError(f"{path}.priority[{i}]: expected a string")
+        if child in seen:
+            raise InstanceError(f"{path}.priority: duplicate child {child!r}")
+        if child not in family_of:
+            raise InstanceError(f"{path}.priority: unknown child {child!r}")
+        seen.add(child)
+
+
 class Instance:
     """A validated daycare market.
 
@@ -227,15 +245,13 @@ class Instance:
                 raise InstanceError(f"{path}.quota: negative quota {dc.quota}")
             if not isinstance(dc.priority, tuple):
                 raise InstanceError(f"{path}.priority: expected a tuple")
-            ranks: dict[str, int] = {}
-            for i, child in enumerate(dc.priority):
-                if not isinstance(child, str):
-                    raise InstanceError(f"{path}.priority[{i}]: expected a string")
-                if child in ranks:
-                    raise InstanceError(f"{path}.priority: duplicate child {child!r}")
-                if child not in self.family_of:
-                    raise InstanceError(f"{path}.priority: unknown child {child!r}")
-                ranks[child] = i
+            try:
+                ranks = dict(zip(dc.priority, range(len(dc.priority))))
+                valid = len(ranks) == len(dc.priority) and ranks.keys() <= self.family_of.keys()
+            except TypeError:  # an unhashable entry
+                valid = False
+            if not valid:
+                _raise_priority_error(path, dc.priority, self.family_of)
             self.rank[dc.id] = ranks
 
         # F^S / F^O partition, in family-id order (the canonical scan order).

@@ -66,6 +66,12 @@ def test_da_rejects_multi_child_scope(self_cycle_mkt):
         run_da(self_cycle_mkt, scope=("f1",))
     with pytest.raises(ValueError, match="unknown"):
         run_da(self_cycle_mkt, scope=("nope",))
+    with pytest.raises(ValueError, match="unknown family 3"):
+        run_da(self_cycle_mkt, scope=["f1", 3])
+    # a bare id string is not a scope, and neither is a number
+    for scope in ("f1", 5):
+        with pytest.raises(ValueError, match="expected an iterable of family ids"):
+            run_da(self_cycle_mkt, scope=scope)
 
 
 def test_da_output_feasible_ir_stable_on_singleton_markets():
@@ -165,6 +171,10 @@ def test_sc_rejects_bad_permutation(order_flip_mkt):
     # equal to [0, 1] under ==, but not positions
     with pytest.raises(ValueError, match="permutation"):
         run_sc(order_flip_mkt, pi=(0.0, 1.0))
+    # not iterable, and equal to [1, 0] under == but booleans
+    for pi in (5, [True, False]):
+        with pytest.raises(ValueError, match="permutation"):
+            run_sc(order_flip_mkt, pi=pi)
 
 
 def test_sc_fails_on_synthetic_market():

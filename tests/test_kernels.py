@@ -22,34 +22,33 @@ def test_backend_identifier():
 
 
 def long_rows(rng):
-    """Rows long enough to reach both decode containers.
+    """Rows with large and small shifts, and one past 65,536 items.
 
-    Uniform displacements shift about n/4 items per insert (the array
-    path once n > 800); displacements of at most 3 shift about 1.5 (the
-    list path).
+    Uniform displacements shift about n/4 items per insert; displacements
+    of at most 3 shift about 1.5.  The longest row is decoded into 4-byte
+    items, all others into 2-byte items.
     """
     for n in (1000, 1777, 2500):
-        uniform = [rng.randrange(0, i + 1) for i in range(n)]
-        small = [rng.randrange(0, min(i, 3) + 1) for i in range(n)]
-        assert sum(uniform) > 200 * n and sum(small) <= 200 * n
-        yield uniform
-        yield small
+        yield [rng.randrange(0, i + 1) for i in range(n)]
+        yield [rng.randrange(0, min(i, 3) + 1) for i in range(n)]
+    yield [rng.randrange(0, min(i, 3) + 1) for i in range(70_000)]
 
 
 def test_decode_matches_fallback_and_brute():
     rng = random.Random(1)
     rows = [[rng.randrange(0, i + 1) for i in range(rng.randrange(0, 60))] for _ in range(300)]
     rows += long_rows(rng)
+    assert max(map(len, rows)) > 65536
     for v in rows:
         expect = brute_decode(v)
-        assert _kernels.decode_insertions(v) == expect
+        assert _kernels.decode_insertions(v).tolist() == expect
 
 
 def test_decode_identity_and_reverse():
     n = 9
-    assert _kernels.decode_insertions([0] * n) == list(range(n))
+    assert _kernels.decode_insertions([0] * n).tolist() == list(range(n))
     # full displacement every step reverses the reference
-    assert _kernels.decode_insertions(list(range(n))) == list(range(n - 1, -1, -1))
+    assert _kernels.decode_insertions(list(range(n))).tolist() == list(range(n - 1, -1, -1))
 
 
 def test_decode_rejects_bad_displacement():
@@ -59,8 +58,9 @@ def test_decode_rejects_bad_displacement():
         _kernels.decode_insertions([0, 2])
     with pytest.raises(ValueError):
         _kernels.decode_insertions([-1])
-    # the same bad entry in a row that takes the array path (full reversal,
-    # mean shift ~n/2) and in one that takes the list path (all zeros)
+    with pytest.raises(ValueError):
+        _kernels.decode_insertions([0, 0.5])
+    # the same bad entry in a full reversal and in a row of zeros
     n = 1000
     for bad in (n, -1):
         messages = []
@@ -93,7 +93,7 @@ def test_inversions_of_decode_equals_displacement_sum():
     for _ in range(100):
         n = rng.randrange(0, 40)
         v = [rng.randrange(0, i + 1) for i in range(n)]
-        perm = _kernels.decode_insertions(v)
+        perm = _kernels.decode_insertions(v).tolist()
         # item value = reference rank, so inversions of the permutation
         # equal the total displacement
         assert brute_inversions(perm) == sum(v)

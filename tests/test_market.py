@@ -228,6 +228,19 @@ def test_mallows_size_equals_successive_single_draws(phi):
     assert batched.bit_generator.state == single.bit_generator.state
     with pytest.raises(ValueError):
         mallows_sample(ref, phi, batched, size=-1)
+    # 2,000 draws of 40 items: past 65,536 items laid end to end
+    many = mallows_sample(ref, phi, batched, size=2000)
+    assert many == [mallows_sample(ref, phi, single) for _ in range(2000)]
+    # an ndarray reference gives the same draws as ndarrays
+    positions = np.arange(40)
+    for size in (None, 6, 2000):
+        got = mallows_sample(positions, phi, batched, size=size)
+        assert isinstance(got, np.ndarray)
+        assert got.shape == ((40,) if size is None else (size, 40))
+        named = [[ref.ordering[k] for k in row] for row in np.atleast_2d(got).tolist()]
+        count = 1 if size is None else size
+        assert named == [mallows_sample(ref, phi, single) for _ in range(count)]
+    assert batched.bit_generator.state == single.bit_generator.state
 
 
 # -- Kendall tau ----------------------------------------------------------------
@@ -338,7 +351,7 @@ PINNED_MARKETS = [
     (MarketConfig(n=500, phi=0.0, seed=1), "68d764077d44da42458ba08560ea15daed4ca37a5fe49596b67a5f7db7d1bb2a"),
     (MarketConfig(n=500, phi=0.5, seed=2), "df2d8a30bc740a7dbb5c515d34d4c77c498e6e8d0073dcc93849c9b0c4831e87"),
     (MarketConfig(n=500, phi=1.0, seed=3), "3d3ae2a1a21cbce516e4f83bd1c7759c1540bf351251f7ae5092825cf3e066c8"),
-    # mean displacement ~n/4 = 300 per insert: the decode's array path
+    # mean displacement ~n/4 = 300 items shifted per insert
     (MarketConfig(n=1200, phi=1.0, seed=4), "14989cce04db619435fa4c91717b0d8c5c87ee95b74a5377a96b1f74c99b17ed"),
     # the size of the n3000 benchmark markets: 268 physical daycares, 1,608 units
     (MarketConfig(n=3000, phi=0.5, seed=0), "2db302ff160288890cc712eac19f7fc8ecf5b389eb48c68ec0eabed1bbb164e6"),
