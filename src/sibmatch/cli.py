@@ -19,7 +19,7 @@ from sibmatch.experiment import render_report, run_sweep, spec_from_json
 from sibmatch.market import MarketConfig, gen_instance
 from sibmatch.model import dump_instance, load_instance, load_matching
 from sibmatch.solver import SearchBudget, find_stable
-from sibmatch.stability import find_blocking_coalition
+from sibmatch.stability import MODES, find_blocking_coalition
 from sibmatch.trace import ExecutionTrace
 
 
@@ -85,18 +85,13 @@ def _cmd_exists(args) -> int:
     return 0
 
 
+# The MarketConfig fields ``gen`` sets besides n and phi, each an option
+# defaulting to MarketConfig's default.
+GEN_FIELDS = ("alpha", "L", "sigma", "epsilon", "daycare_ratio", "joint_pref_length", "seed")
+
+
 def _cmd_gen(args) -> int:
-    cfg = MarketConfig(
-        n=args.n,
-        phi=args.phi,
-        alpha=args.alpha,
-        L=args.L,
-        sigma=args.sigma,
-        epsilon=args.epsilon,
-        daycare_ratio=args.daycare_ratio,
-        joint_pref_length=args.joint_pref_length,
-        seed=args.seed,
-    )
+    cfg = MarketConfig(n=args.n, phi=args.phi, **{name: getattr(args, name) for name in GEN_FIELDS})
     _write(args.out, dump_instance(gen_instance(cfg)) + "\n")
     return 0
 
@@ -126,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="test a matching for stability")
     p.add_argument("--instance", required=True)
     p.add_argument("--matching", required=True)
-    p.add_argument("--mode", choices=("ours", "abh"), default="ours")
+    p.add_argument("--mode", choices=MODES, default="ours")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("solve", help="run a matching algorithm")
@@ -137,21 +132,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exists", help="exhaustive stable-matching search")
     p.add_argument("--instance", required=True)
-    p.add_argument("--mode", choices=("ours", "abh"), default="ours")
-    p.add_argument("--max-nodes", type=int, default=2_000_000)
-    p.add_argument("--max-millis", type=int, default=60_000)
+    p.add_argument("--mode", choices=MODES, default="ours")
+    p.add_argument("--max-nodes", type=int, default=SearchBudget.max_nodes)
+    p.add_argument("--max-millis", type=int, default=SearchBudget.max_millis)
     p.set_defaults(func=_cmd_exists)
 
     p = sub.add_parser("gen", help="generate a random market")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--phi", type=float, required=True)
-    p.add_argument("--alpha", type=float, default=0.2)
-    p.add_argument("--L", type=int, default=5)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=1.0)
-    p.add_argument("--daycare-ratio", type=float, default=0.1)
-    p.add_argument("--joint-pref-length", type=int, default=10)
-    p.add_argument("--seed", type=int, default=0)
+    for name in GEN_FIELDS:
+        default = getattr(MarketConfig, name)
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gen)
 

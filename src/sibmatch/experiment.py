@@ -26,10 +26,10 @@ import statistics
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 from sibmatch.algorithms import run_da, run_esda, run_sc, run_sda
-from sibmatch.market import MarketConfig, gen_instance
+from sibmatch.market import MarketConfig, check_fields, gen_instance
 from sibmatch.model import Instance
 from sibmatch.solver import SearchBudget, find_stable
 from sibmatch.stability import is_stable
@@ -39,32 +39,16 @@ ALGORITHMS = ("da", "sc", "sda", "esda", "exact-ours", "exact-abh")
 __all__ = ["ALGORITHMS", "CellStats", "ExperimentReport", "SweepSpec", "instance_seed", "render_report", "run_sweep"]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
-
-
-def _is_int_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(map(_is_int, value))
-
-
-# The type check of each MarketConfig field a spec's ``base`` may set.
-_BASE_CHECKS = {
-    f.name: {"int": _is_int, "float": _is_real, "tuple[int, ...]": _is_int_list}[f.type]
-    for f in fields(MarketConfig)
-    if f.name not in ("n", "phi", "seed")
-}
-
-
 @dataclass(frozen=True)
 class SweepSpec:
     """One experiment grid: sizes x phis x algorithms, ``trials`` each.
 
     ``base`` holds MarketConfig overrides applied to every cell (alpha,
     sigma, preference lengths, ...); n, phi, and seed come from the grid.
+    Every field is checked on construction, ``base`` by building the
+    MarketConfig of each size and the exact solver's limits by building
+    their SearchBudget; a bad field raises ValueError naming it.  Lists
+    are stored as tuples and phis as floats.
     """
 
     sizes: tuple[int, ...]
@@ -78,35 +62,34 @@ class SweepSpec:
     exact_max_millis: int = 10_000
 
     def __post_init__(self):
-        for key in ("trials", "seed", "exact_cap", "exact_max_nodes", "exact_max_millis"):
-            if not _is_int(getattr(self, key)):
-                raise ValueError(f"{key} must be an integer")
-        if not isinstance(self.base, dict):
-            raise ValueError("base must be an object")
+        check_fields(self)
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         for n in self.sizes:
-            if not _is_int(n) or n < 1:
+            if n < 1:
                 raise ValueError(f"size {n!r} is not a positive integer")
         for phi in self.phis:
-            if not _is_real(phi) or not 0.0 <= phi <= 1.0:
+            if not 0.0 <= phi <= 1.0:
                 raise ValueError(f"phi {phi!r} outside [0, 1]")
+        object.__setattr__(self, "phis", tuple(map(float, self.phis)))
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
-        for key, value in self.base.items():
+        for key in self.base:
             if key in ("n", "phi", "seed"):
                 raise ValueError(f"base may not override {key!r}")
-            check = _BASE_CHECKS.get(key)
-            if check is None:
+            if key not in MarketConfig.__dataclass_fields__:
                 raise ValueError(f"base: unknown MarketConfig field {key!r}")
-            if not check(value):
-                raise ValueError(f"base: {key} has the wrong type")
-        for n in self.sizes:
+        # with no sizes, n=1 still checks the type and range of every field
+        for n in self.sizes or (1,):
             try:
-                _market_config(self.base, n, 0.0, self.seed)
+                _market_config(self.base, n, 0.0, 0)
             except (ValueError, OverflowError) as exc:
-                raise ValueError(f"base: {exc} (size {n})") from None
+                raise ValueError(f"base: {exc} (n={n})") from None
+        try:
+            SearchBudget(self.exact_max_nodes, self.exact_max_millis)
+        except ValueError as exc:  # "max_nodes must be positive", ...
+            raise ValueError(f"exact_{exc}") from None
 
     @classmethod
     def from_dict(cls, data) -> "SweepSpec":
@@ -117,28 +100,10 @@ class SweepSpec:
         unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown spec keys: {sorted(unknown)}")
-        out = {"sizes": (), "phis": (), **data}
-        for key in ("sizes", "phis", "algorithms"):
-            if key in out:
-                if not isinstance(out[key], (list, tuple)):
-                    raise ValueError(f"{key} must be a list")
-                out[key] = tuple(out[key])
-        # Only phis __post_init__ accepts become floats; it rejects the rest.
-        out["phis"] = tuple(float(p) if _is_real(p) and 0 <= p <= 1 else p for p in out["phis"])
-        return cls(**out)
+        return cls(**{"sizes": (), "phis": (), **data})
 
     def to_dict(self) -> dict:
-        return {
-            "sizes": list(self.sizes),
-            "phis": list(self.phis),
-            "trials": self.trials,
-            "algorithms": list(self.algorithms),
-            "base": dict(self.base),
-            "seed": self.seed,
-            "exact_cap": self.exact_cap,
-            "exact_max_nodes": self.exact_max_nodes,
-            "exact_max_millis": self.exact_max_millis,
-        }
+        return {key: list(v) if isinstance(v, tuple) else v for key, v in asdict(self).items()}
 
 
 @dataclass
@@ -166,10 +131,7 @@ def instance_seed(seed: int, n: int, phi: float, trial: int) -> int:
 
 
 def _market_config(spec_base: dict, n: int, phi: float, seed: int) -> MarketConfig:
-    base = dict(spec_base)
-    if "capacity_profile" in base:
-        base["capacity_profile"] = tuple(base["capacity_profile"])
-    return MarketConfig(n=n, phi=phi, seed=seed, **base)
+    return MarketConfig(n=n, phi=phi, seed=seed, **spec_base)
 
 
 def _run_algorithm(algo: str, instance: Instance, spec: SweepSpec, n: int):
@@ -203,12 +165,12 @@ def _run_algorithm(algo: str, instance: Instance, spec: SweepSpec, n: int):
 def _run_trial(args) -> list[tuple[int, float, str, int, object, float, object, object]]:
     """Worker: run all requested algorithms on one generated instance.
 
-    Each row is ``(n, phi, algo, trial, success, elapsed, failure, error)``;
+    ``args`` is ``(spec, n, phi, trial)`` with the checked spec itself,
+    which pickles for a process pool.  Each row is ``(n, phi, algo, trial, success, elapsed, failure, error)``;
     ``error`` is the ``repr`` of the exception behind a harness error, else
     None.
     """
-    spec_dict, n, phi, trial = args
-    spec = SweepSpec.from_dict(spec_dict)
+    spec, n, phi, trial = args
     rows = []
     try:
         cfg = _market_config(spec.base, n, phi, instance_seed(spec.seed, n, phi, trial))
@@ -228,7 +190,7 @@ def _run_trial(args) -> list[tuple[int, float, str, int, object, float, object, 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
     """Run the whole grid; deterministic given the spec (timings aside)."""
     tasks = [
-        (spec.to_dict(), n, phi, trial)
+        (spec, n, phi, trial)
         for n in spec.sizes
         for phi in spec.phis
         for trial in range(spec.trials)

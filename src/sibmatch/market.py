@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,6 +41,7 @@ __all__ = [
     "MarketConfig",
     "ReferenceOrdering",
     "bounded_distribution",
+    "check_fields",
     "family_counts",
     "gen_family_prefs",
     "gen_individual_prefs",
@@ -51,6 +52,41 @@ __all__ = [
 ]
 
 
+# The values each annotation of a checked field admits: bools never count
+# as numbers, and ints count as floats.
+_KINDS = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "dict": (dict, "an object"),
+}
+
+
+def _is(kind: str, value) -> bool:
+    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
+
+
+def check_fields(obj) -> None:
+    """Check every field of the dataclass ``obj`` against its annotation.
+
+    ``int``, ``float``, ``str`` and ``dict`` fields must hold such a value
+    (see ``_KINDS``); a ``tuple[X, ...]`` field must hold a list or tuple
+    of X and is stored as a tuple.  Raises ValueError naming the first
+    field that fails.  The annotations are read as strings, so the
+    dataclass's module must use ``from __future__ import annotations``.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        item = f.type.removeprefix("tuple[").removesuffix(", ...]")
+        if item == f.type:
+            if not _is(item, value):
+                raise ValueError(f"{f.name} must be {_KINDS[item][1]}")
+        elif isinstance(value, (list, tuple)) and all(_is(item, v) for v in value):
+            object.__setattr__(obj, f.name, tuple(value))
+        else:
+            raise ValueError(f"{f.name} must be a list, each item {_KINDS[item][1]}")
+
+
 @dataclass(frozen=True)
 class MarketConfig:
     """Parameters of the random market.
@@ -58,7 +94,9 @@ class MarketConfig:
     ``L`` is the individual preference length for only children;
     sibling children use ``sibling_pref_length`` and their families keep
     ``joint_pref_length`` tuples.  ``capacity_profile`` gives one quota
-    per age group and fixes the number of age groups.
+    per age group and fixes the number of age groups; a list is stored
+    as a tuple.  Every field is checked on construction: a value of the
+    wrong type or range raises ValueError.
     """
 
     n: int
@@ -75,6 +113,9 @@ class MarketConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_fields(self)
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.n < 1:
             raise ValueError("n must be positive")
         if not 0.0 <= self.alpha <= 1.0:
@@ -258,10 +299,10 @@ def mallows_sample(reference, phi: float, rng, size: int | None = None):
     displacement rows laid end to end: each v_i is at most i, so row r
     fills its own block ``r*n .. r*n+n-1``.
     """
-    if not 0.0 <= phi <= 1.0:
+    if not (_is("float", phi) and 0.0 <= phi <= 1.0):
         raise ValueError("phi must lie in [0, 1]")
-    if size is not None and size < 0:
-        raise ValueError("size must be >= 0")
+    if size is not None and not (_is("int", size) and size >= 0):
+        raise ValueError("size must be None or an integer >= 0")
     if isinstance(reference, ReferenceOrdering):
         reference = reference.ordering
     n = len(reference)

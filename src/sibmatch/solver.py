@@ -27,8 +27,9 @@ node/time budget guards against blowup on larger ones.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
+from sibmatch.market import check_fields
 from sibmatch.model import DUMMY_ID, Instance, Matching
 from sibmatch.stability import MODES, blocking_coalition_of, scan_blocking
 
@@ -37,14 +38,16 @@ __all__ = ["FindStableResult", "SearchBudget", "find_stable"]
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Node and wall-clock limits for one search."""
+    """Node and wall-clock limits for one search; both positive integers."""
 
     max_nodes: int = 2_000_000
     max_millis: int = 60_000
 
     def __post_init__(self):
-        if self.max_nodes <= 0 or self.max_millis <= 0:
-            raise ValueError("SearchBudget fields must be positive")
+        check_fields(self)
+        for f in fields(self):
+            if getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -93,7 +96,9 @@ def find_stable(
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    budget = budget or SearchBudget()
+    budget = SearchBudget() if budget is None else budget
+    if not isinstance(budget, SearchBudget):
+        raise ValueError(f"budget must be a SearchBudget, got {type(budget).__name__}")
     deadline = time.monotonic() + budget.max_millis / 1000.0
     families = sorted(instance.families, key=lambda f: (-f.size, f.id))
     quota = instance.quota

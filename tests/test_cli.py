@@ -3,7 +3,9 @@ import json
 import pytest
 
 import helpers
+from sibmatch.algorithms import run_da
 from sibmatch.cli import main
+from sibmatch.market import MarketConfig, gen_instance
 from sibmatch.model import dump_instance, dump_matching, load_instance, Matching
 
 
@@ -55,6 +57,25 @@ def test_solve_esda_with_trace(tmp_path, capsys):
     assert out["matching"]["assignment"]["c1"] == "d1"
     lines = trace_path.read_text().strip().splitlines()
     assert all(json.loads(line)["kind"] for line in lines)
+
+
+def test_solve_da_with_trace(tmp_path, capsys):
+    inst = helpers.restart_success_market()
+    inst_path = tmp_path / "restart_mkt.json"
+    inst_path.write_text(dump_instance(inst))
+    trace_path = tmp_path / "trace.jsonl"
+    code = main(["solve", "--instance", str(inst_path), "--algo", "da", "--trace", str(trace_path)])
+    assert code == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == {"status": "success", "matching": {"assignment": run_da(inst).assignment}}
+    # DA logs no events
+    assert trace_path.read_text() == "\n"
+
+
+def test_gen_defaults_are_market_config_defaults(tmp_path):
+    out_path = tmp_path / "gen.json"
+    assert main(["gen", "--n", "40", "--phi", "0.5", "--out", str(out_path)]) == 0
+    assert out_path.read_text() == dump_instance(gen_instance(MarketConfig(n=40, phi=0.5))) + "\n"
 
 
 def test_solve_failure_payload(tmp_path, capsys):
@@ -129,7 +150,9 @@ def test_experiment_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("base", {"foo": 1}), ("sizes", 5), ("trials", "3"), ("exact_cap", None)]
+    "field, value",
+    [("base", {"foo": 1}), ("sizes", 5), ("trials", "3"), ("exact_cap", None),
+     ("exact_max_nodes", 0), ("exact_max_millis", -1)],
 )
 def test_experiment_wrong_spec_field_exits_2(tmp_path, capsys, field, value):
     spec_path = tmp_path / "spec.json"

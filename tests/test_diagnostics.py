@@ -233,6 +233,28 @@ def test_replays_reject_a_foreign_trace(restart_mkt):
             check(restart_mkt, unranked)
 
 
+def test_rank_lemma_flags_a_vacated_seat_before_success():
+    inst = helpers.make_instance(
+        [("f1", ["c1"], [["d1"]]), ("f2", ["c2"], [["d2"]])],
+        [("d1", 1, ["c1", "c2"]), ("d2", 1, ["c1", "c2"])],
+    )
+
+    def trace(last):
+        # f2's placement at d2 evicts c1, the only child seated at d1, so
+        # d1's rank rises from 1 (c1) to 3 (a vacant seat)
+        return ExecutionTrace([
+            {"kind": "attempt", "index": 0, "pi": [], "families": []},
+            {"kind": "place", "family": "f1", "tuple_index": 0, "placed": {"c1": "d1"}, "evicted": []},
+            {"kind": "place", "family": "f2", "tuple_index": 0, "placed": {"c2": "d2"},
+             "evicted": [["c1", "d1", "c2"]]},
+            last,
+        ])
+
+    assert rank_lemma_violations(inst, trace({"kind": "success"})) == [{"event": 2, "daycare": "d1"}]
+    restart = {"kind": "restart", "inserting": "f2", "displaced": "f1", "new_pi": []}
+    assert rank_lemma_violations(inst, trace(restart)) == []
+
+
 def _type_1_repeat(*final_attempt):
     return ExecutionTrace([
         {"kind": "attempt", "index": 0, "pi": [1], "families": ["f1"]},

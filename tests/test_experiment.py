@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from sibmatch.experiment import (
     run_sweep,
     spec_from_json,
 )
+from sibmatch.market import MarketConfig
 
 SMALL_BASE = {
     "alpha": 0.4,
@@ -176,12 +178,15 @@ def test_spec_validation():
         ("base", {"alpha": 2.0}),
         ("base", {"sigma": float("inf")}),
         ("exact_cap", None),
+        ("exact_max_nodes", 0),
+        ("exact_max_millis", -1),
     ],
 )
 def test_spec_rejects_wrong_fields(field, value):
-    data = {"sizes": [10], "phis": [0.5], field: value}
-    with pytest.raises(ValueError, match=field.rstrip("s")):
-        spec_from_json(json.dumps(data))
+    for sizes in ([10], []):
+        data = {"sizes": sizes, "phis": [0.5], field: value}
+        with pytest.raises(ValueError, match=field.rstrip("s")):
+            spec_from_json(json.dumps(data))
 
 
 def test_spec_rejects_a_non_object():
@@ -190,7 +195,8 @@ def test_spec_rejects_a_non_object():
 
 
 VALID_SPEC = dict(small_spec().to_dict(), base={**SMALL_BASE, "capacity_profile": [5, 5, 1]})
-SPEC_KEYS = st.sampled_from(sorted(VALID_SPEC) + sorted(experiment._BASE_CHECKS) + ["n", "x"])
+BASE_KEYS = sorted(f.name for f in fields(MarketConfig) if f.name not in ("n", "phi", "seed"))
+SPEC_KEYS = st.sampled_from(sorted(VALID_SPEC) + BASE_KEYS + ["n", "x"])
 SPEC_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3) | st.sampled_from(ALGORITHMS),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SPEC_KEYS, inner, max_size=3),
@@ -222,6 +228,13 @@ def test_spec_roundtrip():
     spec = small_spec()
     again = SweepSpec.from_dict(spec.to_dict())
     assert again == spec
+    # lists are stored as tuples, phis as floats
+    spec = spec_from_json('{"sizes": [10], "phis": [0, 1], "base": {"capacity_profile": [5, 1]}}')
+    assert spec.sizes == (10,) and spec.phis == (0.0, 1.0)
+    assert all(isinstance(phi, float) for phi in spec.phis)
+    assert spec.to_dict()["phis"] == [0.0, 1.0]
+    # a negative spec seed is valid: only the derived instance seeds reach MarketConfig
+    assert SweepSpec(sizes=(10,), phis=(0.5,), seed=-1).seed == -1
 
 
 def test_parallel_jobs_match_sequential():

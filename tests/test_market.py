@@ -174,6 +174,8 @@ def test_mallows_accepts_reference_ordering_object():
 def test_mallows_phi_validation():
     with pytest.raises(ValueError):
         mallows_sample(["a"], 1.5, rng_of())
+    with pytest.raises(ValueError, match="phi"):
+        mallows_sample(["a"], "x", rng_of())
 
 
 def test_mallows_permutation_of_reference():
@@ -226,8 +228,9 @@ def test_mallows_size_equals_successive_single_draws(phi):
     assert batched.bit_generator.state == single.bit_generator.state
     assert mallows_sample(ref, phi, batched, size=0) == []
     assert batched.bit_generator.state == single.bit_generator.state
-    with pytest.raises(ValueError):
-        mallows_sample(ref, phi, batched, size=-1)
+    for size in (-1, 2.5, True):
+        with pytest.raises(ValueError, match="size"):
+            mallows_sample(ref, phi, batched, size=size)
     # 2,000 draws of 40 items: past 65,536 items laid end to end
     many = mallows_sample(ref, phi, batched, size=2000)
     assert many == [mallows_sample(ref, phi, single) for _ in range(2000)]
@@ -418,3 +421,20 @@ def test_market_config_validation():
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 MarketConfig(n=10, phi=0.5, **{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("L", 2.5), ("n", "5"), ("n", 50.0), ("n", True), ("seed", -1), ("seed", 1.0),
+     ("alpha", "0.2"), ("capacity_profile", [5, "a"]), ("capacity_profile", 5)],
+)
+def test_market_config_rejects_wrong_types(field, value):
+    # L=2.5 was accepted and gave only children lists of 4-8 daycares
+    with pytest.raises(ValueError, match=field):
+        MarketConfig(**{"n": 50, "phi": 0.5, field: value})
+
+
+def test_market_config_stores_a_list_profile_as_a_tuple():
+    cfg = MarketConfig(n=10, phi=0.5, capacity_profile=[1, 1])
+    assert cfg.capacity_profile == (1, 1)
+    assert hash(cfg) == hash(MarketConfig(n=10, phi=0.5, capacity_profile=(1, 1)))

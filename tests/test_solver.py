@@ -127,11 +127,30 @@ def test_budget_exceeded(rotation_mkt):
     assert result.nodes >= 2
 
 
-def test_budget_validation():
+def test_budget_validation(rotation_mkt):
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=0)
     with pytest.raises(ValueError):
         SearchBudget(max_millis=-1)
+    for field, value in (("max_nodes", "5"), ("max_nodes", 1.5), ("max_millis", True)):
+        with pytest.raises(ValueError, match=field):
+            SearchBudget(**{field: value})
+    with pytest.raises(ValueError, match="budget"):
+        find_stable(rotation_mkt, "ours", 5)
+
+
+def test_deadline_ends_the_search():
+    inst = gen_instance(
+        MarketConfig(
+            n=60, phi=1.0, alpha=0.6, L=2, sigma=2.0, daycare_ratio=0.5,
+            sibling_pref_length=3, joint_pref_length=4, seed=4,
+        )
+    )
+    assert find_stable(inst, "ours").nodes == 7808
+    # the clock is read every 1,024 nodes, far below the node limit
+    result = find_stable(inst, "ours", SearchBudget(max_nodes=10**6, max_millis=1))
+    assert result.status == "budget-exceeded"
+    assert result.nodes == 1024
 
 
 def test_found_matchings_are_stable_random():
