@@ -14,18 +14,21 @@ eviction of a sibling-family child.  Deferred acceptance is that loop
 over the singleton families; inserting a sibling family is that loop
 started from the family alone.
 
+SC, SDA and ESDA share one insertion driver.  The singleton DA phase
+ignores the insertion order pi, so it runs once per run; every attempt
+starts from a copy of its end state, logs its events again, and inserts
+the sibling families in order pi (id order in the first attempt).
+
 * ``run_da``: children-proposing deferred acceptance over single-child
   families only; always succeeds.
-* ``run_sc``: sequential couples.  Sibling families are inserted in a
-  fixed order; the run aborts the moment a displaced singleton applies to
-  a daycare any sibling-family child has applied to, or a sibling family
-  loses a seat.  No retries.
+* ``run_sc``: sequential couples, SDA's first attempt cut short.  The run
+  fails the moment a displaced singleton applies to a daycare any
+  sibling-family child has applied to, or a sibling family loses a seat.
+  No retries.
 * ``run_sda``: sorted deferred acceptance.  When an insertion displaces a
   sibling family f', the whole pass restarts with the inserting family
   moved directly before f'; seeing the same order twice is fatal.  No
-  improvement check; a successful matching is ABH-stable.  The singleton
-  DA phase ignores the order, so it runs once per run: every attempt
-  starts from a copy of its end state and logs its events again.
+  improvement check; a successful matching is ABH-stable.
 * ``run_esda``: SDA plus a final per-iteration check, the verifier's
   blocking test for the family just processed: could it upgrade to a
   strictly better tuple once its own children hand over their seats?  If
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
 
 from sibmatch.model import DUMMY_ID, Family, Instance, Matching
 from sibmatch.stability import blocking_coalition_of, select
@@ -131,8 +133,8 @@ class AlgorithmOutcome:
         return out
 
 
-class _ScClash(Exception):
-    """Internal control flow for the sequential-couples abort."""
+class _Failed(Exception):
+    """Internal control flow: the run failed, its terminal event logged."""
 
 
 class _Engine:
@@ -245,157 +247,105 @@ def _one_based(pi: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in pi]
 
 
-def run_da(instance: Instance, scope=None) -> Matching:
-    """Child-optimal stable matching of the restricted singleton market.
-
-    ``scope`` is an iterable of family ids, all of which must have exactly
-    one child; it defaults to every single-child family.  Children outside
-    the scope stay unmatched.  Any other scope, a bare id string included,
-    raises ``ValueError``.
-    """
-    if scope is None:
-        scope_ids = list(instance.singleton_families)
-    else:
-        if isinstance(scope, str) or not isinstance(scope, Iterable):
-            raise ValueError("scope: expected an iterable of family ids")
-        scope = tuple(scope)
-        for fid in scope:
-            if not isinstance(fid, str):
-                raise ValueError(f"scope: unknown family {fid!r}")
-        scope_ids = sorted(set(scope))
-        for fid in scope_ids:
-            fam = instance.families_by_id.get(fid)
-            if fam is None:
-                raise ValueError(f"scope: unknown family {fid!r}")
-            if fam.size != 1:
-                raise ValueError(f"scope: family {fid!r} has {fam.size} children")
+def run_da(instance: Instance) -> Matching:
+    """Child-optimal stable matching of the restricted singleton market;
+    every sibling-family child stays unmatched."""
     engine = _Engine(instance, ExecutionTrace())
-    engine.cascade(deque(scope_ids))
+    engine.cascade(deque(instance.singleton_families))
     return Matching(instance, engine.assign)
 
 
-def _run_sorted(instance: Instance, improvement: bool) -> AlgorithmOutcome:
-    """Shared SDA/ESDA driver; ``improvement`` adds the ESDA check.  An
-    attempt returns (success, improvement, repeat) or restarts."""
-    # The singleton DA phase ignores pi: run it once, and start every
-    # attempt from its end state and its events.
-    engine = _Engine(instance, ExecutionTrace())
-    engine.cascade(deque(instance.singleton_families))
-    da_events = engine.trace.events
-    da_state = (engine.roster, engine.assign, engine.pos)
-    trace = engine.trace = ExecutionTrace()
-    fs = instance.sibling_families
-    fs_index = {fid: k for k, fid in enumerate(fs)}
-    pi = tuple(range(len(fs)))
-    attempted: set[tuple[int, ...]] = set()
-
-    while True:
-        trace.append(
-            "attempt", index=len(attempted), pi=_one_based(pi), families=[fs[k] for k in pi]
-        )
-        attempted.add(pi)
-        trace.events.extend(da_events)
-        engine.restore(*da_state)
-
-        for position, idx in enumerate(pi):
-            fam = instance.families_by_id[fs[idx]]
-            trace.append("insert", family=fam.id, position=position)
-            hit = engine.cascade(deque([fam.id]))
-            if hit is not None:
-                displaced = hit[0]
-                new_pi = _reinsert(pi, idx, fs_index[displaced])
-                repeat = new_pi in attempted
-                trace.append(
-                    "repeat" if repeat else "restart",
-                    inserting=fam.id,
-                    displaced=displaced,
-                    new_pi=_one_based(new_pi),
-                )
-                if repeat:
-                    return AlgorithmOutcome("failure", None, classify_failure(trace), trace)
-                pi = new_pi
-                break
-            if improvement:
-                j = engine.improvable(fam)
-                if j is not None:
-                    trace.append("improvement", family=fam.id, tuple_index=j)
-                    return AlgorithmOutcome("failure", None, classify_failure(trace), trace)
-        else:
-            trace.append("success")
-            return AlgorithmOutcome("success", Matching(instance, engine.assign), None, trace)
-
-
-def run_sda(instance: Instance) -> AlgorithmOutcome:
-    """Sorted deferred acceptance; a returned matching is ABH-stable."""
-    return _run_sorted(instance, improvement=False)
-
-
-def run_esda(instance: Instance) -> AlgorithmOutcome:
-    """Extended sorted deferred acceptance; a returned matching is stable."""
-    return _run_sorted(instance, improvement=True)
-
-
-def run_sc(instance: Instance, pi=None) -> AlgorithmOutcome:
-    """Sequential couples baseline.
-
-    ``pi`` is a permutation given as 0-based positions into the id-sorted
-    sibling-family list (default: identity); anything else, booleans
-    included, raises ``ValueError``.  The run fails with
-    ``sc-application-clash`` the moment a displaced singleton applies to
-    any daycare a sibling-family child has ever applied to, or a sibling
-    family's child loses a seat.  Sibling families are inserted once each,
-    in order, with no restarts.
-    """
-    trace = ExecutionTrace()
-    engine = _Engine(instance, trace)
-    fs = instance.sibling_families
-    if pi is None:
-        pi = tuple(range(len(fs)))
-    else:
-        pi = tuple(pi) if isinstance(pi, Iterable) else None
-        if (
-            pi is None
-            or not all(isinstance(k, int) and not isinstance(k, bool) for k in pi)
-            or sorted(pi) != list(range(len(fs)))
-        ):
-            raise ValueError(f"pi must be a permutation of 0..{len(fs) - 1}")
-
+def _sc_clash_hook(trace: ExecutionTrace):
+    """SC's application rule as a ``propose`` hook: a singleton applying to
+    a daycare any sibling-family child has applied to logs a ``clash`` and
+    raises ``_Failed``."""
     applied_fs: set[str] = set()
 
     def apply_hook(fam: Family, d: str) -> None:
         if fam.size > 1:
             applied_fs.add(d)
         elif d in applied_fs:
-            trace.append(
-                "clash",
-                family=fam.id,
-                child=fam.children[0],
-                daycare=d,
-                reason="application to a daycare a sibling family applied to",
-            )
-            raise _ScClash
+            reason = "application to a daycare a sibling family applied to"
+            trace.append("clash", family=fam.id, child=fam.children[0], daycare=d, reason=reason)
+            raise _Failed
 
-    trace.append("attempt", index=0, pi=_one_based(pi), families=[fs[k] for k in pi])
+    return apply_hook
+
+
+def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
+    """The insertion driver of SC, SDA and ESDA (``algo``): only SC has the
+    application-clash hook and stops at a displaced sibling family, and
+    only ESDA checks each insertion for an improvement."""
+    # every attempt starts from the DA end state and logs its events again
+    engine = _Engine(instance, ExecutionTrace())
+    engine.cascade(deque(instance.singleton_families))
+    da_events = engine.trace.events
+    da_state = (engine.roster, engine.assign, engine.pos)
+    trace = engine.trace = ExecutionTrace()
+    apply_hook = _sc_clash_hook(trace) if algo == "sc" else None
+    fs = instance.sibling_families
+    fs_index = {fid: k for k, fid in enumerate(fs)}
+    pi = tuple(range(len(fs)))
+    attempted: set[tuple[int, ...]] = set()
+
     try:
-        engine.cascade(deque(instance.singleton_families))
-        for position, idx in enumerate(pi):
-            fam = instance.families_by_id[fs[idx]]
-            trace.append("insert", family=fam.id, position=position)
-            hit = engine.cascade(deque([fam.id]), apply_hook)
-            if hit is not None:
-                owner, (child, d, _) = hit
-                trace.append(
-                    "clash",
-                    family=owner,
-                    child=child,
-                    daycare=d,
-                    reason="sibling family displaced",
-                )
-                raise _ScClash
-    except _ScClash:
+        while True:
+            families = [fs[k] for k in pi]
+            trace.append("attempt", index=len(attempted), pi=_one_based(pi), families=families)
+            attempted.add(pi)
+            trace.events.extend(da_events)
+            engine.restore(*da_state)
+
+            for position, idx in enumerate(pi):
+                fam = instance.families_by_id[fs[idx]]
+                trace.append("insert", family=fam.id, position=position)
+                hit = engine.cascade(deque([fam.id]), apply_hook)
+                if hit is not None:
+                    displaced, (child, d, _) = hit
+                    if algo == "sc":
+                        reason = "sibling family displaced"
+                        trace.append("clash", family=displaced, child=child, daycare=d, reason=reason)
+                        raise _Failed
+                    new_pi = _reinsert(pi, idx, fs_index[displaced])
+                    repeat = new_pi in attempted
+                    trace.append(
+                        "repeat" if repeat else "restart",
+                        inserting=fam.id,
+                        displaced=displaced,
+                        new_pi=_one_based(new_pi),
+                    )
+                    if repeat:
+                        raise _Failed
+                    pi = new_pi
+                    break
+                if algo == "esda" and (j := engine.improvable(fam)) is not None:
+                    trace.append("improvement", family=fam.id, tuple_index=j)
+                    raise _Failed
+            else:
+                trace.append("success")
+                return AlgorithmOutcome("success", Matching(instance, engine.assign), None, trace)
+    except _Failed:
         return AlgorithmOutcome("failure", None, classify_failure(trace), trace)
-    trace.append("success")
-    return AlgorithmOutcome("success", Matching(instance, engine.assign), None, trace)
+
+
+def run_sc(instance: Instance) -> AlgorithmOutcome:
+    """Sequential couples: SDA's first attempt, in id order, cut short.
+
+    The run fails with ``sc-application-clash`` the moment a displaced
+    singleton applies to any daycare a sibling-family child has ever
+    applied to, or a sibling family's child loses a seat.
+    """
+    return _run_inserting(instance, "sc")
+
+
+def run_sda(instance: Instance) -> AlgorithmOutcome:
+    """Sorted deferred acceptance; a returned matching is ABH-stable."""
+    return _run_inserting(instance, "sda")
+
+
+def run_esda(instance: Instance) -> AlgorithmOutcome:
+    """Extended sorted deferred acceptance; a returned matching is stable."""
+    return _run_inserting(instance, "esda")
 
 
 # -- failure classification ------------------------------------------------

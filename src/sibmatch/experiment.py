@@ -84,7 +84,7 @@ class SweepSpec:
         for n in self.sizes or (1,):
             try:
                 _market_config(self.base, n, 0.0, 0)
-            except (ValueError, OverflowError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"base: {exc} (n={n})") from None
         try:
             SearchBudget(self.exact_max_nodes, self.exact_max_millis)

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable, Sequence
 
@@ -53,17 +54,20 @@ __all__ = [
 
 
 # The values each annotation of a checked field admits: bools never count
-# as numbers, and ints count as floats.
+# as numbers, ints count as floats, and an int must lie in the float range
+# (the range checks and the generator's arithmetic convert it).
 _KINDS = {
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
+    "int": (int, "an integer in the float range"),
+    "float": ((int, float), "a number in the float range"),
     "str": (str, "a string"),
     "dict": (dict, "an object"),
 }
 
 
 def _is(kind: str, value) -> bool:
-    return isinstance(value, _KINDS[kind][0]) and not isinstance(value, bool)
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind][0]):
+        return False
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max
 
 
 def check_fields(obj) -> None:

@@ -300,14 +300,19 @@ class Matching:
     Unmatched children are assigned the dummy daycare, so the map is
     total by construction.  The daycare-side view is derived and kept
     consistent: ``child in roster(d)`` iff ``assignment[child] == d``.
-    Value semantics: equality compares assignments only.
+    Value semantics: equality compares assignments only.  Anything but a
+    mapping of every child to a known daycare id raises MatchingError.
     """
 
     def __init__(self, instance: Instance, assignment: Mapping[str, str]):
+        if not isinstance(assignment, Mapping):
+            raise MatchingError("assignment: expected an object of daycare ids")
         known = instance.family_of
         for child, d in assignment.items():
             if child not in known:
                 raise MatchingError(f"assignment: unknown child {child!r}")
+            if not isinstance(d, str):
+                raise MatchingError(f"assignment[{child}]: expected a daycare id, got {d!r}")
             if d not in instance.daycares_by_id:
                 raise MatchingError(f"assignment[{child}]: unknown daycare {d!r}")
         missing = [c for c, _ in instance.children if c not in assignment]
@@ -477,12 +482,7 @@ def load_matching(data: bytes | str | Mapping, instance: Instance) -> Matching:
             raise MatchingError(f"$: invalid JSON ({exc})") from exc
     if not isinstance(data, Mapping) or "assignment" not in data:
         raise MatchingError("$: expected an object with key 'assignment'")
-    assignment = data["assignment"]
-    if not isinstance(assignment, Mapping) or not all(
-        isinstance(d, str) for d in assignment.values()
-    ):
-        raise MatchingError("assignment: expected an object of daycare ids")
-    return Matching(instance, assignment)
+    return Matching(instance, data["assignment"])
 
 
 def dump_matching(matching: Matching) -> str:

@@ -49,6 +49,39 @@ __all__ = ["ExecutionTrace", "Replay", "displacement_chains", "replay_trace"]
 
 TERMINAL_KINDS = ("repeat", "improvement", "clash", "success")
 
+# Every event kind with its fields and their JSON types, as listed above.
+EVENT_FIELDS: dict[str, dict[str, type]] = {
+    "attempt": {"index": int, "pi": list, "families": list},
+    "insert": {"family": str, "position": int},
+    "reject": {"family": str, "tuple_index": int, "daycare": str, "children": list},
+    "place": {"family": str, "tuple_index": int, "placed": dict, "evicted": list},
+    "exhausted": {"family": str},
+    "restart": {"inserting": str, "displaced": str, "new_pi": list},
+    "repeat": {"inserting": str, "displaced": str, "new_pi": list},
+    "improvement": {"family": str, "tuple_index": int},
+    "clash": {"family": str, "child": str, "daycare": str, "reason": str},
+    "success": {},
+}
+
+
+def _check_event(event) -> None:
+    """Raise ValueError unless ``event`` is an object of a known kind with
+    every field of that kind, each of its JSON type, every ``evicted``
+    entry a list of three ids and every ``placed`` daycare an id."""
+    kind = event.get("kind") if isinstance(event, dict) else None
+    if not isinstance(kind, str) or kind not in EVENT_FIELDS:
+        raise ValueError("expected an event object with a known kind")
+    for name, json_type in EVENT_FIELDS[kind].items():
+        value = event.get(name)
+        if not isinstance(value, json_type) or isinstance(value, bool):
+            raise ValueError(f"{kind} event: {name!r} must be of type {json_type.__name__}")
+    for entry in event.get("evicted", ()):
+        ids = isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)
+        if not ids:
+            raise ValueError(f"{kind} event: each evicted entry must be a list of 3 ids")
+    if not all(isinstance(d, str) for d in event.get("placed", {}).values()):
+        raise ValueError(f"{kind} event: each placed daycare must be an id")
+
 
 class ExecutionTrace:
     """Append-only event log; see the module docstring for the format.
@@ -99,8 +132,17 @@ class ExecutionTrace:
 
     @classmethod
     def from_jsonl(cls, text: str) -> "ExecutionTrace":
-        lines = [line for line in text.splitlines() if line.strip()]
-        return cls([json.loads(line) for line in lines])
+        """The trace of a JSON-lines log; a line that is not an event of the
+        documented format raises ValueError naming it (1-based)."""
+        events = []
+        for number, line in enumerate(text.splitlines(), 1):
+            if line.strip():
+                try:
+                    events.append(json.loads(line))
+                    _check_event(events[-1])
+                except ValueError as exc:
+                    raise ValueError(f"trace line {number}: {exc}") from None
+        return cls(events)
 
 
 Move = tuple[str, str, str]

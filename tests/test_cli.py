@@ -78,6 +78,13 @@ def test_gen_defaults_are_market_config_defaults(tmp_path):
     assert out_path.read_text() == dump_instance(gen_instance(MarketConfig(n=40, phi=0.5))) + "\n"
 
 
+def test_gen_rejects_an_integer_past_the_float_range(tmp_path, capsys):
+    out_path = tmp_path / "gen.json"
+    assert main(["gen", "--n", "1" + "0" * 400, "--phi", "0.5", "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: n must be")
+    assert not out_path.exists()
+
+
 def test_solve_failure_payload(tmp_path, capsys):
     inst_path = tmp_path / "self_cycle_mkt.json"
     inst_path.write_text(dump_instance(helpers.self_cycle_market()))
@@ -119,6 +126,17 @@ def test_gen_solve_inspect_pipeline(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert "diameter" in report and "chains" in report
+
+
+PLACE_LIST = '{"kind": "place", "family": "f1", "tuple_index": 0, "placed": {"c1": [1]}, "evicted": []}'
+
+
+@pytest.mark.parametrize("line", ["5", "[1]", "{}", '{"kind": "place"}', '{"kind": "attempt"}', PLACE_LIST])
+def test_inspect_rejects_a_malformed_trace(tmp_path, capsys, seat_market_file, line):
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text('{"kind": "success"}\n' + line + "\n")
+    assert main(["inspect", "--instance", str(seat_market_file), "--trace", str(trace_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: trace line 2: ")
 
 
 def test_experiment_subcommand(tmp_path, capsys):

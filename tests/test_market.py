@@ -426,10 +426,12 @@ def test_market_config_validation():
 @pytest.mark.parametrize(
     "field, value",
     [("L", 2.5), ("n", "5"), ("n", 50.0), ("n", True), ("seed", -1), ("seed", 1.0),
-     ("alpha", "0.2"), ("capacity_profile", [5, "a"]), ("capacity_profile", 5)],
+     ("alpha", "0.2"), ("capacity_profile", [5, "a"]), ("capacity_profile", 5),
+     ("n", 10**400), ("sigma", 10**400), ("daycare_ratio", 10**400)],
 )
 def test_market_config_rejects_wrong_types(field, value):
-    # L=2.5 was accepted and gave only children lists of 4-8 daycares
+    # L=2.5 was accepted and gave only children lists of 4-8 daycares;
+    # an integer past the float range raised a bare OverflowError
     with pytest.raises(ValueError, match=field):
         MarketConfig(**{"n": 50, "phi": 0.5, field: value})
 

@@ -229,6 +229,11 @@ def test_matching_requires_totality(rotation_mkt):
     for assignment in (5, ["c1"], {"c1": ["d1"]}):
         with pytest.raises(MatchingError, match="assignment"):
             load_matching({"assignment": assignment}, rotation_mkt)
+    # the class checks its own assignment: these raised TypeError and AttributeError
+    unhashable = {c: ["d0"] for c, _ in rotation_mkt.children}
+    for assignment in (unhashable, [("c1", "d0")]):
+        with pytest.raises(MatchingError, match="assignment"):
+            Matching(rotation_mkt, assignment)
 
 
 def test_family_assignment_matched_families(restart_mkt):
