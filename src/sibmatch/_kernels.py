@@ -13,9 +13,13 @@ from collections import deque
 
 import numpy as np
 
-__all__ = ["BACKEND", "count_inversions", "decode_insertions"]
+__all__ = ["BACKEND", "SHORT_ITEMS", "count_inversions", "decode_insertions"]
 
 BACKEND = "python"
+
+# Rows of up to this many items decode into 2-byte items; longer rows
+# need 4-byte items.
+SHORT_ITEMS = 65_536
 
 
 def decode_insertions(displacements) -> np.ndarray:
@@ -32,7 +36,7 @@ def decode_insertions(displacements) -> np.ndarray:
     ``0..i``, naming the first bad index.
     The inserts then run in C (``map`` over ``array.insert``, drained by
     a ``deque``) into an ``array`` of 2-byte items, or 4-byte items when
-    the row is longer than 65,536, so each insert shifts the items after
+    the row is longer than ``SHORT_ITEMS`` (65,536), so each insert shifts the items after
     it with one ``memmove``.  The result is an integer ndarray viewing
     that array.
     """
@@ -48,7 +52,7 @@ def decode_insertions(displacements) -> np.ndarray:
         i = int(bad[0])
         raise ValueError(f"displacement {v[i].item()} out of range at index {i}")
     positions = (index - v.astype(np.int64, copy=False)).tolist()
-    out = array("H" if n <= 65536 else "I")
+    out = array("H" if n <= SHORT_ITEMS else "I")
     deque(map(out.insert, positions, range(n)), maxlen=0)
     return np.frombuffer(out, dtype=out.typecode)
 

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,20 +182,26 @@ def bounded_distribution(m: int, sigma: float, rng) -> np.ndarray:
     Weights are independent uniforms on [1, sigma], normalised, so every
     pairwise ratio is within the band and every component is at most
     sigma/m by construction.  sigma=1 yields the exact uniform vector.
+    Raises ValueError when ``sigma * m`` exceeds the float range, as the
+    weights' sum could then overflow.
     """
     if m < 1:
         raise ValueError("m must be positive")
     if sigma < 1.0:
         raise ValueError("sigma must be >= 1")
+    if not sigma <= sys.float_info.max / m:
+        raise ValueError(f"sigma * m exceeds the float range: {sigma} * {m}")
     weights = 1.0 + (sigma - 1.0) * rng.random(m)
     return weights / weights.sum()
 
 
-def gen_individual_prefs(probabilities, length: int, rng) -> list[int]:
-    """Duplicate-free list of daycare indices of exactly ``length``.
+def _selection_cdf(probabilities, length: int) -> np.ndarray:
+    """The CDF of a daycare-selection distribution, checked for ``length`` picks.
 
-    Repeatedly draws from the distribution and keeps first occurrences,
-    which is why ``length`` may not exceed the number of daycares.
+    ``rng.random()`` returns multiples of 2**-53, so a daycare can be
+    drawn only when one of them falls in its CDF step.  Raises ValueError
+    when fewer than ``length`` daycares can, as the duplicate-free draw
+    would then never end.
     """
     p = np.asarray(probabilities, dtype=float)
     m = len(p)
@@ -203,6 +209,14 @@ def gen_individual_prefs(probabilities, length: int, rng) -> list[int]:
         raise ValueError(f"length {length} exceeds daycare count {m}")
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
+    drawable = np.count_nonzero(np.diff(np.ceil(cdf * 2.0**53), prepend=0.0) > 0)
+    if drawable < length:
+        raise ValueError(f"only {drawable} daycares can be drawn, {length} needed")
+    return cdf
+
+
+def _distinct_draws(cdf: np.ndarray, length: int, rng) -> list[int]:
+    """``length`` distinct daycare indices: first occurrences of draws from ``cdf``."""
     out: list[int] = []
     seen: set[int] = set()
     while len(out) < length:
@@ -215,6 +229,16 @@ def gen_individual_prefs(probabilities, length: int, rng) -> list[int]:
                 if len(out) == length:
                     break
     return out
+
+
+def gen_individual_prefs(probabilities, length: int, rng) -> list[int]:
+    """Duplicate-free list of daycare indices of exactly ``length``.
+
+    Repeatedly draws from the distribution and keeps first occurrences,
+    which is why ``length`` may not exceed the number of daycares that
+    can be drawn (see ``_selection_cdf``); more raises ValueError.
+    """
+    return _distinct_draws(_selection_cdf(probabilities, length), length, rng)
 
 
 def gen_family_prefs(individual: Sequence[Sequence], joint_len: int, rng) -> list[tuple]:
@@ -346,20 +370,28 @@ def _unit_id(phys: str, age: int) -> str:
 def _gen_daycares(phys, reference, ages, cfg: MarketConfig, rng) -> list[Daycare]:
     """The dummy, then one unit per physical daycare and age group.
 
-    One Mallows call per physical daycare draws the priorities of all its
-    units as positions in the reference ordering.  One mask of the
-    reference ages against each unit's age keeps each unit's children,
-    and the kept positions are mapped to child ids once.
+    Each unit's priority is a Mallows draw of positions in the reference
+    ordering, filtered to the unit's age group.  The units are drawn in
+    blocks of ``_kernels.SHORT_ITEMS // n`` rows (at least one), one
+    ``mallows_sample`` call per block, so numpy's fixed cost is paid once
+    per block and a block decodes in one kernel call on 2-byte items.  One
+    mask of the reference ages against each row's age keeps each unit's
+    children, and the kept positions are mapped to child ids once per
+    block.  The draws equal one ``mallows_sample`` call per unit, because
+    a call of ``size`` k consumes the generator as k single draws do.
     """
     order = reference.ordering
+    n = len(order)
     age_of = np.array([ages[c] for c in order], dtype=np.int64)
-    unit_ages = np.arange(len(cfg.capacity_profile))[:, None]
+    units = [(p, age) for p in phys for age in range(len(cfg.capacity_profile))]
+    rows = max(1, _kernels.SHORT_ITEMS // n)
     daycares = [Daycare(id=DUMMY_ID, quota=None, priority=())]
-    for p in phys:
-        draws = mallows_sample(np.arange(len(order)), cfg.phi, rng, size=len(unit_ages))
-        mask = age_of[draws] == unit_ages
+    for start in range(0, len(units), rows):
+        block = units[start : start + rows]
+        draws = mallows_sample(np.arange(n), cfg.phi, rng, size=len(block))
+        mask = age_of[draws] == np.array([age for _, age in block])[:, None]
         kept = map(order.__getitem__, draws[mask].tolist())
-        for age, size in enumerate(mask.sum(axis=1).tolist()):
+        for (p, age), size in zip(block, mask.sum(axis=1).tolist()):
             daycares.append(
                 Daycare(
                     id=_unit_id(p, age),
@@ -395,19 +427,22 @@ def gen_instance(cfg: MarketConfig) -> Instance:
 
     ages = {c: int(a) for c, a in zip(child_ids, rng.integers(0, num_ages, size=len(child_ids)))}
 
-    probabilities = bounded_distribution(m_phys, cfg.sigma, rng)
     single_len = min(cfg.L, m_phys)
     sibling_len = min(cfg.sibling_pref_length, m_phys)
+    cdf = _selection_cdf(
+        bounded_distribution(m_phys, cfg.sigma, rng),
+        max(single_len * (co > 0), sibling_len * (f2 + f3 > 0)),
+    )
 
     families: list[Family] = []
     for k, kids in enumerate(family_children):
         fid = f"f{k + 1}"
         if len(kids) == 1:
-            picks = gen_individual_prefs(probabilities, single_len, rng)
+            picks = _distinct_draws(cdf, single_len, rng)
             tuples = [(phys[d],) for d in picks]
         else:
             lists = [
-                [phys[d] for d in gen_individual_prefs(probabilities, sibling_len, rng)]
+                [phys[d] for d in _distinct_draws(cdf, sibling_len, rng)]
                 for _ in kids
             ]
             tuples = gen_family_prefs(lists, cfg.joint_pref_length, rng)
@@ -421,7 +456,10 @@ def gen_instance(cfg: MarketConfig) -> Instance:
     daycares = _gen_daycares(phys, reference, ages, cfg, rng)
 
     meta = {
-        "generator": {**asdict(cfg), "capacity_profile": list(cfg.capacity_profile)},
+        "generator": {
+            **{f.name: getattr(cfg, f.name) for f in fields(cfg)},
+            "capacity_profile": list(cfg.capacity_profile),
+        },
         "physical_daycares": phys,
         "ages": ages,
         "reference_ordering": list(reference.ordering),

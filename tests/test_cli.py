@@ -85,6 +85,13 @@ def test_gen_rejects_an_integer_past_the_float_range(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_gen_rejects_a_sigma_past_the_float_range(tmp_path, capsys):
+    out_path = tmp_path / "gen.json"
+    assert main(["gen", "--n", "50", "--phi", "0.5", "--sigma", "1e308", "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: sigma * m exceeds the float range")
+    assert not out_path.exists()
+
+
 def test_solve_failure_payload(tmp_path, capsys):
     inst_path = tmp_path / "self_cycle_mkt.json"
     inst_path.write_text(dump_instance(helpers.self_cycle_market()))

@@ -1,9 +1,11 @@
 import hashlib
 import math
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
+from sibmatch import _kernels
 from sibmatch.diagnostics import diameter
 from sibmatch.market import (
     MarketConfig,
@@ -16,6 +18,7 @@ from sibmatch.market import (
     gen_reference_ordering,
     kendall_tau,
     mallows_sample,
+    _gen_daycares,
 )
 from sibmatch.model import DUMMY_ID, Family, dump_instance
 
@@ -52,6 +55,14 @@ def test_bounded_validation():
         bounded_distribution(3, 0.5, rng_of())
 
 
+def test_bounded_rejects_a_weight_sum_past_the_float_range():
+    # the sum of four weights near 1e308 would overflow to inf and every
+    # probability would read 0
+    with pytest.raises(ValueError, match="float range"):
+        bounded_distribution(4, 1e308, rng_of())
+    assert bounded_distribution(4, 1e306, rng_of()).sum() == pytest.approx(1.0)
+
+
 # -- individual and family preferences ----------------------------------------
 
 
@@ -74,6 +85,17 @@ def test_individual_prefs_rejects_overlong():
     p = bounded_distribution(3, 1.0, rng_of())
     with pytest.raises(ValueError):
         gen_individual_prefs(p, 4, rng_of())
+
+
+def test_individual_prefs_rejects_too_few_drawable_daycares():
+    # only daycare 1 can ever be drawn, so a second distinct one never comes
+    with pytest.raises(ValueError, match="can be drawn"):
+        gen_individual_prefs([0.0, 1.0], 2, rng_of())
+    # daycare 1's step [0.25 + 2**-54, 0.25 + 2**-53) is positive but holds
+    # no multiple of 2**-53, the values rng.random() returns
+    with pytest.raises(ValueError, match="2 daycares can be drawn, 3 needed"):
+        gen_individual_prefs([0.25 + 2**-54, 2**-54, 0.75 - 2**-53], 3, rng_of())
+    assert gen_individual_prefs([0.0, 1.0], 1, rng_of()) == [1]
 
 
 def test_individual_prefs_first_position_uniform():
@@ -385,6 +407,68 @@ def test_gen_instance_bytes_are_pinned(cfg, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def test_gen_instance_rejects_a_sigma_past_the_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        gen_instance(MarketConfig(n=50, phi=0.5, sigma=1e308))
+
+
+def _market_parts(cfg):
+    inst = gen_instance(cfg)
+    meta = inst.meta
+    reference = ReferenceOrdering(tuple(meta["reference_ordering"]), meta["grouped_families"])
+    return meta["physical_daycares"], reference, meta["ages"]
+
+
+def _synthetic_parts(n, seed):
+    """One physical daycare over n children in a random reference order."""
+    rng = rng_of(seed)
+    children = [f"c{k + 1}" for k in range(n)]
+    ages = dict(zip(children, rng.integers(0, 6, size=n).tolist()))
+    reference = ReferenceOrdering(tuple(children[k] for k in rng.permutation(n)))
+    return ["d1"], reference, ages
+
+
+@pytest.mark.parametrize(
+    "cfg, synthetic",
+    [
+        # one block holds every unit of the market
+        (MarketConfig(n=10, phi=1.0, alpha=0.4, L=2, sigma=2.0, daycare_ratio=0.5,
+                      sibling_pref_length=3, joint_pref_length=4, seed=10_004), False),
+        # 131 rows per block: block boundaries split a physical daycare's six units
+        (MarketConfig(n=500, phi=0.5, seed=5), False),
+        (MarketConfig(n=500, phi=1.0, seed=6), False),
+        # one row per block, decoded into 4-byte items
+        (MarketConfig(n=70_000, phi=0.5), True),
+    ],
+    ids=["oracle", "n500-phi0.5", "n500-phi1", "n70000-one-daycare"],
+)
+def test_daycare_priorities_equal_per_unit_draws(cfg, synthetic, monkeypatch):
+    phys, reference, ages = _synthetic_parts(cfg.n, 7) if synthetic else _market_parts(cfg)
+    n = len(reference)
+    decoded = []
+    decode = _kernels.decode_insertions
+
+    def counting_decode(displacements):
+        decoded.append(len(displacements))
+        return decode(displacements)
+
+    monkeypatch.setattr(_kernels, "decode_insertions", counting_decode)
+    rng_blocks, rng_units = rng_of(99), rng_of(99)
+    daycares = _gen_daycares(phys, reference, ages, cfg, rng_blocks)
+    monkeypatch.setattr(_kernels, "decode_insertions", decode)
+
+    units = [(p, age) for p in phys for age in range(len(cfg.capacity_profile))]
+    rows = max(1, _kernels.SHORT_ITEMS // n)
+    assert decoded == [n * len(units[s : s + rows]) for s in range(0, len(units), rows)]
+    assert daycares[0].id == DUMMY_ID
+    assert len(daycares) == 1 + len(units)
+    for d, (p, age) in zip(daycares[1:], units):
+        draw = mallows_sample(reference.ordering, cfg.phi, rng_units)
+        assert (d.id, d.quota) == (f"{p}-a{age}", cfg.capacity_profile[age])
+        assert d.priority == tuple(c for c in draw if ages[c] == age)
+    assert rng_blocks.bit_generator.state == rng_units.bit_generator.state
+
+
 def test_gen_instance_metadata_block():
     inst = gen_instance(MarketConfig(n=50, phi=0.3, seed=8))
     meta = inst.meta
@@ -392,6 +476,9 @@ def test_gen_instance_metadata_block():
     assert set(meta["grouped_families"]) == set(inst.sibling_families)
     assert set(meta["ages"]) == {c for c, _ in inst.children}
     assert meta["generator"]["n"] == 50
+    cfg = MarketConfig(n=50, phi=0.3, seed=8)
+    assert meta["generator"] == {**asdict(cfg), "capacity_profile": list(cfg.capacity_profile)}
+    assert list(meta["generator"]) == [f.name for f in fields(cfg)]
 
 
 def test_gen_instance_singleton_preference_length():
