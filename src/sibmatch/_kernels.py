@@ -35,10 +35,11 @@ def decode_insertions(displacements) -> np.ndarray:
     integers raises ``ValueError``, and so does an entry outside
     ``0..i``, naming the first bad index.
     The inserts then run in C (``map`` over ``array.insert``, drained by
-    a ``deque``) into an ``array`` of 2-byte items, or 4-byte items when
-    the row is longer than ``SHORT_ITEMS`` (65,536), so each insert shifts the items after
-    it with one ``memmove``.  The result is an integer ndarray viewing
-    that array.
+    a ``deque``; the positions are read through a ``memoryview``, so no
+    list of n ints is built) into an ``array`` of 2-byte items, or 4-byte items when
+    the row is longer than ``SHORT_ITEMS`` (65,536), so each insert
+    shifts the items after it with one ``memmove``.  The result is an
+    integer ndarray viewing that array.
     """
     v = np.asarray(displacements)
     if v.ndim != 1 or (v.size and not np.issubdtype(v.dtype, np.integer)):
@@ -51,7 +52,7 @@ def decode_insertions(displacements) -> np.ndarray:
     if len(bad):
         i = int(bad[0])
         raise ValueError(f"displacement {v[i].item()} out of range at index {i}")
-    positions = (index - v.astype(np.int64, copy=False)).tolist()
+    positions = memoryview(index - v.astype(np.int64, copy=False))
     out = array("H" if n <= SHORT_ITEMS else "I")
     deque(map(out.insert, positions, range(n)), maxlen=0)
     return np.frombuffer(out, dtype=out.typecode)

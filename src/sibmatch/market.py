@@ -301,14 +301,22 @@ def _displacements(n: int, phi: float, rng, count: int) -> np.ndarray:
     Sampled by inverting the truncated geometric CDF; needs
     ``0 < phi <= 1``.  The one ``rng.random((count, n))`` call consumes
     the generator exactly as ``count`` calls of ``rng.random(n)`` do.
+    The arithmetic runs in place, so a block of rows holds two arrays of
+    its size, not one per step.
     """
     u = rng.random((count, n))
     i = np.arange(n, dtype=np.int64)
     if phi == 1.0:
-        return np.minimum((u * (i + 1)).astype(np.int64), i)
-    t = 1.0 - u * (1.0 - np.power(phi, (i + 1).astype(float)))
-    v = np.ceil(np.log(t) / math.log(phi)).astype(np.int64) - 1
-    return np.clip(v, 0, i)
+        u *= i + 1
+        v = u.astype(np.int64)
+        return np.minimum(v, i, out=v)
+    u *= 1.0 - np.power(phi, (i + 1).astype(float))
+    np.subtract(1.0, u, out=u)
+    np.log(u, out=u)
+    u /= math.log(phi)
+    v = np.ceil(u, out=u).astype(np.int64)
+    v -= 1
+    return np.clip(v, 0, i, out=v)
 
 
 def mallows_sample(reference, phi: float, rng, size: int | None = None):
@@ -429,10 +437,7 @@ def gen_instance(cfg: MarketConfig) -> Instance:
 
     single_len = min(cfg.L, m_phys)
     sibling_len = min(cfg.sibling_pref_length, m_phys)
-    cdf = _selection_cdf(
-        bounded_distribution(m_phys, cfg.sigma, rng),
-        max(single_len * (co > 0), sibling_len * (f2 + f3 > 0)),
-    )
+    cdf = _selection_cdf(bounded_distribution(m_phys, cfg.sigma, rng), max(single_len, sibling_len))
 
     families: list[Family] = []
     for k, kids in enumerate(family_children):
