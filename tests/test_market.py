@@ -476,9 +476,13 @@ def test_gen_instance_metadata_block():
     assert set(meta["grouped_families"]) == set(inst.sibling_families)
     assert set(meta["ages"]) == {c for c, _ in inst.children}
     assert meta["generator"]["n"] == 50
-    cfg = MarketConfig(n=50, phi=0.3, seed=8)
-    assert meta["generator"] == {**asdict(cfg), "capacity_profile": list(cfg.capacity_profile)}
-    assert list(meta["generator"]) == [f.name for f in fields(cfg)]
+
+
+def test_gen_instance_generator_block_is_the_config():
+    cfg = MarketConfig(n=50, phi=0.3, sigma=1.5, seed=8)
+    generator = gen_instance(cfg).meta["generator"]
+    assert generator == {**asdict(cfg), "capacity_profile": list(cfg.capacity_profile)}
+    assert list(generator) == [f.name for f in fields(cfg)]
 
 
 def test_gen_instance_singleton_preference_length():
