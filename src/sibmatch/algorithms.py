@@ -148,7 +148,7 @@ class _Engine:
         self.quota = instance.quota
         self.applications = instance.applications
         self.roster = {d.id: set() for d in instance.daycares if d.id != DUMMY_ID}
-        self.assign = {child: DUMMY_ID for child, _ in instance.children}
+        self.assign = dict.fromkeys(instance.family_of, DUMMY_ID)
         self.pos = {f.id: 0 for f in instance.families}
 
     def restore(self, roster, assign, pos) -> None:

@@ -28,8 +28,7 @@ __all__ = [
 
 
 def _positions(ordering) -> dict[str, int]:
-    items = list(getattr(ordering, "ordering", ordering))
-    return {c: i for i, c in enumerate(items)}
+    return {c: i for i, c in enumerate(ordering)}
 
 
 def _family_span(pos: dict[str, int], fam: Family) -> tuple[int, int]:
@@ -209,13 +208,21 @@ def structure_report(instance: Instance, trace: ExecutionTrace | None = None) ->
     """Instance and trace structure as one JSON-ready report.
 
     Ordering-based sections need the generator's reference ordering in
-    ``instance.meta``; hand-written instances simply omit them.
+    ``instance.meta``; hand-written instances simply omit them.  A
+    ``meta.reference_ordering`` that is not a list of distinct strings
+    raises ValueError naming it.
     """
     report: dict = {
         "children": instance.num_children,
         "sibling_families": list(instance.sibling_families),
     }
     reference = instance.meta.get("reference_ordering")
+    if reference is not None and not (
+        isinstance(reference, list)
+        and all(isinstance(c, str) for c in reference)
+        and len(set(reference)) == len(reference)
+    ):
+        raise ValueError("meta.reference_ordering: expected a list of distinct child ids")
     if reference:
         spans = _spans(reference, (instance.families_by_id[f] for f in instance.sibling_families))
         domination = _domination(spans)

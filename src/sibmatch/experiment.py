@@ -135,25 +135,24 @@ def _market_config(spec_base: dict, n: int, phi: float, seed: int) -> MarketConf
 
 
 def _run_algorithm(algo: str, instance: Instance, spec: SweepSpec, n: int):
-    """One timed run.  Returns (success, elapsed_seconds, failure_kind)."""
-    if algo.startswith("exact-"):
-        if n > spec.exact_cap:
-            return None, 0.0, None
-        budget = SearchBudget(spec.exact_max_nodes, spec.exact_max_millis)
-        start = time.perf_counter()
-        result = find_stable(instance, algo.removeprefix("exact-"), budget)
-        elapsed = time.perf_counter() - start
-        if result.found:
-            return True, elapsed, None
-        return False, elapsed, result.status
-    if algo == "da":
-        start = time.perf_counter()
-        run_da(instance)
-        return True, time.perf_counter() - start, None
-    runner = {"sc": run_sc, "sda": run_sda, "esda": run_esda}[algo]
+    """One timed run.  Returns (success, elapsed_seconds, failure_kind);
+    success is None for an ``exact-*`` run skipped above ``exact_cap``."""
+    exact = algo.startswith("exact-")
+    if exact and n > spec.exact_cap:
+        return None, 0.0, None
     start = time.perf_counter()
-    outcome = runner(instance)
+    if exact:
+        budget = SearchBudget(spec.exact_max_nodes, spec.exact_max_millis)
+        outcome = find_stable(instance, algo.removeprefix("exact-"), budget)
+    elif algo == "da":
+        outcome = run_da(instance)
+    else:
+        outcome = {"sc": run_sc, "sda": run_sda, "esda": run_esda}[algo](instance)
     elapsed = time.perf_counter() - start
+    if exact:
+        return outcome.found, elapsed, None if outcome.found else outcome.status
+    if algo == "da":
+        return True, elapsed, None
     if outcome.succeeded:
         mode = "abh" if algo == "sda" else "ours"
         if algo in ("sda", "esda") and not is_stable(instance, outcome.matching, mode):
@@ -205,13 +204,12 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
     for n in spec.sizes:
         for phi in spec.phis:
             for algo in spec.algorithms:
-                cells[(n, phi, algo)] = CellStats(
-                    skipped=algo.startswith("exact-") and n > spec.exact_cap
-                )
+                cells[(n, phi, algo)] = CellStats()
     for rows in per_trial:
         for n, phi, algo, _, success, elapsed, failure, error in rows:
             cell = cells[(n, phi, algo)]
             if success is None:
+                cell.skipped = True
                 continue
             cell.trials += 1
             if success:

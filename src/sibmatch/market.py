@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ from sibmatch.model import DUMMY_ID, Daycare, Family, Instance
 
 __all__ = [
     "MarketConfig",
-    "ReferenceOrdering",
     "bounded_distribution",
     "check_fields",
     "family_counts",
@@ -161,21 +160,6 @@ def family_counts(cfg: MarketConfig) -> tuple[int, int, int, int]:
     return f2, f3, cs, cfg.n - cs
 
 
-@dataclass(frozen=True)
-class ReferenceOrdering:
-    """A reference priority ordering plus the per-family grouping record.
-
-    ``grouped`` holds an entry per sibling family: True when the family
-    entered the ordering as one contiguous block.
-    """
-
-    ordering: tuple[str, ...]
-    grouped: dict[str, bool] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.ordering)
-
-
 def bounded_distribution(m: int, sigma: float, rng) -> np.ndarray:
     """Daycare-selection probabilities with ratios inside [1/sigma, sigma].
 
@@ -215,14 +199,28 @@ def _selection_cdf(probabilities, length: int) -> np.ndarray:
     return cdf
 
 
+# Values drawn by one ``_distinct_draws`` call before it gives up.  A CDF
+# step that only a handful of ``rng.random()``'s 2**53 values hit passes
+# ``_selection_cdf`` but may take about 2**53 draws to be hit; the markets
+# of the protocol fill a list in a few dozen draws.
+_MAX_DRAWS = 2**20
+
+
 def _distinct_draws(cdf: np.ndarray, length: int, rng) -> list[int]:
-    """``length`` distinct daycare indices: first occurrences of draws from ``cdf``."""
+    """``length`` distinct daycare indices: first occurrences of draws from ``cdf``.
+
+    Raises ValueError once ``_MAX_DRAWS`` values are drawn without filling
+    the list.
+    """
     out: list[int] = []
     seen: set[int] = set()
+    drawn = 0
     while len(out) < length:
-        draws = np.searchsorted(cdf, rng.random(max(8, 2 * (length - len(out)))), side="right")
-        for d in draws:
-            d = int(d)
+        if drawn >= _MAX_DRAWS:
+            raise ValueError(f"{_MAX_DRAWS} draws gave only {len(out)} of {length} daycares")
+        count = max(8, 2 * (length - len(out)))
+        drawn += count
+        for d in np.searchsorted(cdf, rng.random(count), side="right").tolist():
             if d not in seen:
                 seen.add(d)
                 out.append(d)
@@ -268,13 +266,16 @@ def gen_family_prefs(individual: Sequence[Sequence], joint_len: int, rng) -> lis
 
 def gen_reference_ordering(
     families: Iterable[Family], n: int, epsilon: float, rng
-) -> ReferenceOrdering:
+) -> tuple[tuple[str, ...], dict[str, bool]]:
     """Reference ordering: sibling families grouped with high probability.
 
     Each sibling family is split into separate entries with probability
     ``1/n**(1+epsilon)`` and otherwise enters as one block in sibling
     order; the entity list is then uniformly permuted.  Grouped families
     therefore occupy contiguous positions.
+
+    Returns ``(ordering, grouped)``: the ordering as a tuple of child ids,
+    and for each sibling family whether it entered as one block.
     """
     split_p = 1.0 / n ** (1.0 + epsilon) if n > 0 else 0.0
     entities: list[tuple[str, ...]] = []
@@ -290,7 +291,7 @@ def gen_reference_ordering(
             entities.append(tuple(fam.children))
     order = rng.permutation(len(entities))
     ordering = tuple(c for k in order for c in entities[int(k)])
-    return ReferenceOrdering(ordering, grouped)
+    return ordering, grouped
 
 
 def _displacements(n: int, phi: float, rng, count: int) -> np.ndarray:
@@ -326,12 +327,13 @@ def mallows_sample(reference, phi: float, rng, size: int | None = None):
     materialised.  ``phi=0`` returns a copy of the reference without
     touching ``rng``; ``phi=1`` is uniform over all permutations.
 
-    An ndarray reference gives ndarray draws; any other reference gives
-    lists of its items.  ``size`` follows numpy's convention: ``None``
-    returns one draw, an integer ``k`` returns ``k`` draws (a ``(k, n)``
-    array, or a list of ``k`` lists) equal to ``k`` successive single
-    draws from the same generator, and leaves the generator in the same
-    state.  All ``k`` draws are decoded in one kernel call on their
+    ``reference`` is a sequence of items, such as the ordering tuple of
+    :func:`gen_reference_ordering`.  An ndarray reference gives ndarray
+    draws; any other reference gives lists of its items.  ``size``
+    follows numpy's convention: ``None`` returns one draw, an integer
+    ``k`` returns ``k`` draws (a ``(k, n)`` array, or a list of ``k``
+    lists) equal to ``k`` successive single draws from the same
+    generator, and leaves the generator in the same state.  All ``k`` draws are decoded in one kernel call on their
     displacement rows laid end to end: each v_i is at most i, so row r
     fills its own block ``r*n .. r*n+n-1``.
     """
@@ -339,8 +341,6 @@ def mallows_sample(reference, phi: float, rng, size: int | None = None):
         raise ValueError("phi must lie in [0, 1]")
     if size is not None and not (_is("int", size) and size >= 0):
         raise ValueError("size must be None or an integer >= 0")
-    if isinstance(reference, ReferenceOrdering):
-        reference = reference.ordering
     n = len(reference)
     count = 1 if size is None else size
     if phi == 0.0:
@@ -375,20 +375,20 @@ def _unit_id(phys: str, age: int) -> str:
     return f"{phys}-a{age}"
 
 
-def _gen_daycares(phys, reference, ages, cfg: MarketConfig, rng) -> list[Daycare]:
+def _gen_daycares(phys, order, ages, cfg: MarketConfig, rng) -> list[Daycare]:
     """The dummy, then one unit per physical daycare and age group.
 
-    Each unit's priority is a Mallows draw of positions in the reference
-    ordering, filtered to the unit's age group.  The units are drawn in
-    blocks of ``_kernels.SHORT_ITEMS // n`` rows (at least one), one
-    ``mallows_sample`` call per block, so numpy's fixed cost is paid once
-    per block and a block decodes in one kernel call on 2-byte items.  One
-    mask of the reference ages against each row's age keeps each unit's
-    children, and the kept positions are mapped to child ids once per
-    block.  The draws equal one ``mallows_sample`` call per unit, because
-    a call of ``size`` k consumes the generator as k single draws do.
+    Each unit's priority is a Mallows draw of positions in ``order``, the
+    reference ordering as a tuple of child ids, filtered to the unit's age
+    group.  The units are drawn in blocks of ``_kernels.SHORT_ITEMS // n``
+    rows (at least one), one ``mallows_sample`` call per block, so numpy's
+    fixed cost is paid once per block and a block decodes in one kernel
+    call on 2-byte items.  One mask of the reference ages against each
+    row's age keeps each unit's children, and the kept positions are
+    mapped to child ids once per block.  The draws equal one
+    ``mallows_sample`` call per unit, because a call of ``size`` k
+    consumes the generator as k single draws do.
     """
-    order = reference.ordering
     n = len(order)
     age_of = np.array([ages[c] for c in order], dtype=np.int64)
     units = [(p, age) for p in phys for age in range(len(cfg.capacity_profile))]
@@ -456,9 +456,9 @@ def gen_instance(cfg: MarketConfig) -> Instance:
         )
         families.append(Family(id=fid, children=tuple(kids), preferences=mapped))
 
-    reference = gen_reference_ordering(families, cfg.n, cfg.epsilon, rng)
+    ordering, grouped = gen_reference_ordering(families, cfg.n, cfg.epsilon, rng)
 
-    daycares = _gen_daycares(phys, reference, ages, cfg, rng)
+    daycares = _gen_daycares(phys, ordering, ages, cfg, rng)
 
     meta = {
         "generator": {
@@ -467,7 +467,7 @@ def gen_instance(cfg: MarketConfig) -> Instance:
         },
         "physical_daycares": phys,
         "ages": ages,
-        "reference_ordering": list(reference.ordering),
-        "grouped_families": dict(reference.grouped),
+        "reference_ordering": list(ordering),
+        "grouped_families": grouped,
     }
     return Instance(families, daycares, meta=meta)

@@ -129,13 +129,15 @@ class Instance:
     container, id, quota, priority entry and preference tuple (raising
     :class:`InstanceError` naming the path), and precomputes the lookup
     tables used by the stability predicates, the solver and the
-    algorithms: family and daycare indexes, the child-to-family map,
-    per-daycare priority rank maps, and ``applications[family_id][j]``,
-    the family's ``j``-th preference tuple grouped by daycare: one
-    ``(daycare, applicants, displacer)`` triple per distinct non-dummy
-    daycare, in first-occurrence order, where the displacer is the first
-    applicant in sibling order.  Instances are immutable by convention;
-    all contained collections are tuples.
+    algorithms: family and daycare indexes, ``family_of`` (every child to
+    its family id, in family then sibling order: the one table of the
+    market's children), per-daycare priority rank maps, ``quota`` (daycare
+    id to quota), and ``applications[family_id][j]``, the family's
+    ``j``-th preference tuple grouped by daycare: one ``(daycare,
+    applicants, displacer)`` triple per distinct non-dummy daycare, in
+    first-occurrence order, where the displacer is the first applicant in
+    sibling order.  Instances are immutable by convention; all contained
+    collections are tuples.
     """
 
     def __init__(
@@ -177,7 +179,6 @@ class Instance:
             raise InstanceError(f"daycares: missing dummy daycare {DUMMY_ID!r}")
 
         self.family_of: dict[str, str] = {}
-        children: list[tuple[str, str]] = []
         for fam in self.families:
             for attr in ("children", "preferences"):
                 if not isinstance(getattr(fam, attr), tuple):
@@ -193,8 +194,6 @@ class Instance:
                         "already belongs to another family"
                     )
                 self.family_of[child] = fam.id
-                children.append((child, fam.id))
-        self.children: tuple[tuple[str, str], ...] = tuple(children)
 
         self.applications: dict[str, tuple[tuple, ...]] = {}
         for fam in self.families:
@@ -264,18 +263,11 @@ class Instance:
         self.families_in_id_order: tuple[Family, ...] = tuple(
             self.families_by_id[fid] for fid in sorted(self.families_by_id)
         )
-        self.family_members: dict[str, frozenset[str]] = {
-            f.id: frozenset(f.children) for f in self.families
-        }
         self.quota: dict[str, int | None] = {d.id: d.quota for d in self.daycares}
 
     @property
     def num_children(self) -> int:
-        return len(self.children)
-
-    @property
-    def num_daycares(self) -> int:
-        return len(self.daycares)
+        return len(self.family_of)
 
     @property
     def dummy(self) -> Daycare:
@@ -290,7 +282,7 @@ class Instance:
     def __repr__(self) -> str:
         return (
             f"Instance({len(self.families)} families, "
-            f"{len(self.children)} children, {len(self.daycares)} daycares)"
+            f"{len(self.family_of)} children, {len(self.daycares)} daycares)"
         )
 
 
@@ -315,17 +307,15 @@ class Matching:
                 raise MatchingError(f"assignment[{child}]: expected a daycare id, got {d!r}")
             if d not in instance.daycares_by_id:
                 raise MatchingError(f"assignment[{child}]: unknown daycare {d!r}")
-        missing = [c for c, _ in instance.children if c not in assignment]
+        missing = [c for c in known if c not in assignment]
         if missing:
             raise MatchingError(f"assignment: missing children {missing}")
-        self._assignment: dict[str, str] = {
-            child: assignment[child] for child, _ in instance.children
-        }
+        self._assignment: dict[str, str] = {child: assignment[child] for child in known}
         self._rosters: dict[str, frozenset[str]] | None = None
 
     @classmethod
     def all_unmatched(cls, instance: Instance) -> "Matching":
-        return cls(instance, {c: DUMMY_ID for c, _ in instance.children})
+        return cls(instance, dict.fromkeys(instance.family_of, DUMMY_ID))
 
     @property
     def assignment(self) -> dict[str, str]:
@@ -390,8 +380,9 @@ def is_individually_rational(instance: Instance, matching: Matching) -> bool:
 #   {"families": [{"id": str, "children": [str, ...],
 #                  "preferences": [[str, ...], ...]}, ...],
 #    "daycares": [{"id": str, "quota": int | null, "priority": [str, ...]}, ...],
-#    "meta": {...}}
-# quota null means unlimited and is permitted only for "d0".
+#    "meta": {...} | null}
+# quota null means unlimited and is permitted only for "d0"; a missing or
+# null meta means an empty one.
 #
 # Matching schema: {"assignment": {child: daycare, ...}}
 # ---------------------------------------------------------------------------
@@ -417,8 +408,8 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
     for key in ("families", "daycares"):
         _expect(key in data, "$", f"missing key {key!r}")
         _expect(isinstance(data[key], list), key, "expected a list")
-    meta = data.get("meta") or {}
-    _expect(isinstance(meta, Mapping), "meta", "expected an object")
+    meta = data.get("meta")
+    _expect(meta is None or isinstance(meta, Mapping), "meta", "expected an object")
 
     families = []
     for idx, raw in enumerate(data["families"]):

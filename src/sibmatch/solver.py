@@ -117,7 +117,7 @@ def find_stable(
     rosters: dict[str, set[str]] = {
         d.id: set() for d in instance.daycares if d.id != DUMMY_ID
     }
-    assign: dict[str, str] = {c: DUMMY_ID for c, _ in instance.children}
+    assign: dict[str, str] = dict.fromkeys(instance.family_of, DUMMY_ID)
     # leaves are feasible and IR by construction, so the blocking scan
     # can run directly on the incrementally maintained rosters
     current_rank: dict[str, int] = {f.id: 0 for f in instance.families}

@@ -100,13 +100,12 @@ def blocking_coalition_of(
     """Witness of the family's first tuple ranked above ``rank`` that
     blocks against ``rosters`` (non-dummy daycare -> occupants), or None."""
     ours = mode == "ours"
-    members = instance.family_members[family.id]
     applications = instance.applications[family.id]
     ranks, quotas = instance.rank, instance.quota
     for j in range(min(rank, len(applications))):
         accepted: dict[str, frozenset[str]] = {}
         for d, apps, _ in applications[j]:
-            seated = rosters[d] - (members if ours else apps)
+            seated = rosters[d].difference(family.children if ours else apps)
             refused, evicted = select(seated, apps, ranks[d], quotas[d])
             if refused:
                 break
@@ -151,13 +150,16 @@ def find_blocking_coalition(
     stable (mode ``"ours"``) or ABH-stable (mode ``"abh"``).
 
     Raises :class:`StabilityPreconditionError` if the matching is None
-    (a failed run's), infeasible or not individually rational: the
-    predicates are defined only on feasible IR matchings.
+    (a failed run's), assigns other children than the instance's,
+    infeasible or not individually rational: the predicates are defined
+    only on feasible IR matchings of the instance.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if matching is None:
         raise StabilityPreconditionError("no matching to check")
+    if matching.assignment.keys() != instance.family_of.keys():
+        raise StabilityPreconditionError("matching assigns other children than the instance's")
     if not is_feasible(instance, matching):
         raise StabilityPreconditionError("matching is infeasible")
     if not is_individually_rational(instance, matching):

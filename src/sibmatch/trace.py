@@ -167,7 +167,7 @@ class Replay:
         self._reset()
 
     def _reset(self) -> None:
-        self.assignment = {child: DUMMY_ID for child, _ in self.instance.children}
+        self.assignment = dict.fromkeys(self.instance.family_of, DUMMY_ID)
         self.rosters: dict[str, set[str]] = {
             d.id: set() for d in self.instance.daycares if d.id != DUMMY_ID
         }

@@ -185,7 +185,7 @@ def random_feasible_ir_matching(rng: random.Random, instance: Instance) -> Match
     remaining = {
         d.id: d.quota for d in instance.daycares if d.quota is not None
     }
-    assign = {c: DUMMY_ID for c, _ in instance.children}
+    assign = dict.fromkeys(instance.family_of, DUMMY_ID)
 
     def fits(fam, tup) -> bool:
         need: dict[str, int] = {}

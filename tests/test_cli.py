@@ -146,6 +146,19 @@ def test_inspect_rejects_a_malformed_trace(tmp_path, capsys, seat_market_file, l
     assert capsys.readouterr().err.startswith("error: trace line 2: ")
 
 
+@pytest.mark.parametrize("reference", [5, [["c1"], "c2"], "c1c2", {"c1": 0}, ["c1", "c2", "c1"]])
+def test_inspect_rejects_a_reference_ordering_that_is_not_a_list_of_ids(tmp_path, capsys, reference):
+    # 5 and [["c1"], "c2"] raised a bare TypeError; "c1c2" was read per
+    # character; a repeated id moved its child to the later position
+    inst = helpers.seat_transfer_market()
+    data = json.loads(dump_instance(inst))
+    data["meta"] = {"reference_ordering": reference}
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(data))
+    assert main(["inspect", "--instance", str(path)]) == 2
+    assert capsys.readouterr().err == "error: meta.reference_ordering: expected a list of distinct child ids\n"
+
+
 def test_experiment_subcommand(tmp_path, capsys):
     spec = {
         "sizes": [12],

@@ -9,7 +9,6 @@ from sibmatch import _kernels
 from sibmatch.diagnostics import diameter
 from sibmatch.market import (
     MarketConfig,
-    ReferenceOrdering,
     bounded_distribution,
     family_counts,
     gen_family_prefs,
@@ -98,6 +97,14 @@ def test_individual_prefs_rejects_too_few_drawable_daycares():
     assert gen_individual_prefs([0.0, 1.0], 1, rng_of()) == [1]
 
 
+def test_individual_prefs_stops_when_a_drawable_daycare_never_comes():
+    # daycare 0's step holds only the value 0 of rng.random(), so it passes
+    # the drawable check but comes once in 2**53 draws: the call stops at
+    # its draw cap (it used to run without end)
+    with pytest.raises(ValueError, match="draws gave only 1 of 2 daycares"):
+        gen_individual_prefs([1e-300, 1e-300, 1.0], 2, rng_of())
+
+
 def test_individual_prefs_first_position_uniform():
     # chi-square against uniform over the first list entry
     from scipy.stats import chisquare
@@ -144,19 +151,19 @@ def fam(fid, kids):
 
 def test_reference_ordering_singletons_only_uniform_permutation():
     families = [fam(f"f{i}", [f"c{i}"]) for i in range(20)]
-    ref = gen_reference_ordering(families, 20, 1.0, rng_of(10))
-    assert sorted(ref.ordering) == sorted(f"c{i}" for i in range(20))
-    assert ref.grouped == {}
+    ordering, grouped = gen_reference_ordering(families, 20, 1.0, rng_of(10))
+    assert sorted(ordering) == sorted(f"c{i}" for i in range(20))
+    assert grouped == {}
 
 
 def test_reference_ordering_grouped_block_contiguous():
     families = [fam("f1", ["c1", "c2", "c3"]), fam("f2", ["c4"]), fam("f3", ["c5"])]
     for seed in range(40):
-        ref = gen_reference_ordering(families, 5, 1.0, rng_of(seed))
-        if ref.grouped["f1"]:
-            i = ref.ordering.index("c1")
-            assert ref.ordering[i : i + 3] == ("c1", "c2", "c3")
-            assert diameter(ref.ordering, families[0]) == 3
+        ordering, grouped = gen_reference_ordering(families, 5, 1.0, rng_of(seed))
+        if grouped["f1"]:
+            i = ordering.index("c1")
+            assert ordering[i : i + 3] == ("c1", "c2", "c3")
+            assert diameter(ordering, families[0]) == 3
 
 
 def test_reference_ordering_split_probability_bound():
@@ -170,9 +177,9 @@ def test_reference_ordering_split_probability_bound():
     draws = 10_000
     spread = 0
     for _ in range(draws):
-        ref = gen_reference_ordering(sib + singles, n, eps, rng)
+        ordering, _ = gen_reference_ordering(sib + singles, n, eps, rng)
         for f in sib:
-            if diameter(ref.ordering, f) > len(f.children):
+            if diameter(ordering, f) > len(f.children):
                 spread += 1
     assert spread / (draws * len(sib)) <= 10.0 / n ** (1 + eps)
 
@@ -185,12 +192,6 @@ def test_mallows_phi_zero_returns_reference():
     rng = rng_of(12)
     for _ in range(100):
         assert mallows_sample(ref, 0.0, rng) == ref
-
-
-def test_mallows_accepts_reference_ordering_object():
-    ref = ReferenceOrdering(tuple(f"c{i}" for i in range(5)))
-    out = mallows_sample(ref, 0.0, rng_of())
-    assert out == list(ref.ordering)
 
 
 def test_mallows_phi_validation():
@@ -243,7 +244,7 @@ def test_mallows_adjacent_swap_mass_ratio():
 
 @pytest.mark.parametrize("phi", [0.0, 0.5, 1.0])
 def test_mallows_size_equals_successive_single_draws(phi):
-    ref = ReferenceOrdering(tuple(f"c{i}" for i in range(40)))
+    ref = tuple(f"c{i}" for i in range(40))
     batched, single = rng_of(17), rng_of(17)
     draws = mallows_sample(ref, phi, batched, size=6)
     assert draws == [mallows_sample(ref, phi, single) for _ in range(6)]
@@ -262,7 +263,7 @@ def test_mallows_size_equals_successive_single_draws(phi):
         got = mallows_sample(positions, phi, batched, size=size)
         assert isinstance(got, np.ndarray)
         assert got.shape == ((40,) if size is None else (size, 40))
-        named = [[ref.ordering[k] for k in row] for row in np.atleast_2d(got).tolist()]
+        named = [[ref[k] for k in row] for row in np.atleast_2d(got).tolist()]
         count = 1 if size is None else size
         assert named == [mallows_sample(ref, phi, single) for _ in range(count)]
     assert batched.bit_generator.state == single.bit_generator.state
@@ -415,8 +416,7 @@ def test_gen_instance_rejects_a_sigma_past_the_float_range():
 def _market_parts(cfg):
     inst = gen_instance(cfg)
     meta = inst.meta
-    reference = ReferenceOrdering(tuple(meta["reference_ordering"]), meta["grouped_families"])
-    return meta["physical_daycares"], reference, meta["ages"]
+    return meta["physical_daycares"], tuple(meta["reference_ordering"]), meta["ages"]
 
 
 def _synthetic_parts(n, seed):
@@ -424,8 +424,7 @@ def _synthetic_parts(n, seed):
     rng = rng_of(seed)
     children = [f"c{k + 1}" for k in range(n)]
     ages = dict(zip(children, rng.integers(0, 6, size=n).tolist()))
-    reference = ReferenceOrdering(tuple(children[k] for k in rng.permutation(n)))
-    return ["d1"], reference, ages
+    return ["d1"], tuple(children[k] for k in rng.permutation(n)), ages
 
 
 @pytest.mark.parametrize(
@@ -463,7 +462,7 @@ def test_daycare_priorities_equal_per_unit_draws(cfg, synthetic, monkeypatch):
     assert daycares[0].id == DUMMY_ID
     assert len(daycares) == 1 + len(units)
     for d, (p, age) in zip(daycares[1:], units):
-        draw = mallows_sample(reference.ordering, cfg.phi, rng_units)
+        draw = mallows_sample(reference, cfg.phi, rng_units)
         assert (d.id, d.quota) == (f"{p}-a{age}", cfg.capacity_profile[age])
         assert d.priority == tuple(c for c in draw if ages[c] == age)
     assert rng_blocks.bit_generator.state == rng_units.bit_generator.state
@@ -472,9 +471,9 @@ def test_daycare_priorities_equal_per_unit_draws(cfg, synthetic, monkeypatch):
 def test_gen_instance_metadata_block():
     inst = gen_instance(MarketConfig(n=50, phi=0.3, seed=8))
     meta = inst.meta
-    assert sorted(meta["reference_ordering"]) == sorted(c for c, _ in inst.children)
+    assert sorted(meta["reference_ordering"]) == sorted(inst.family_of)
     assert set(meta["grouped_families"]) == set(inst.sibling_families)
-    assert set(meta["ages"]) == {c for c, _ in inst.children}
+    assert set(meta["ages"]) == set(inst.family_of)
     assert meta["generator"]["n"] == 50
 
 

@@ -119,6 +119,11 @@ def test_tuple_length_mismatch_rejected():
         load_instance(bad)
 
 
+def test_load_reads_a_missing_or_null_meta_as_empty():
+    for value in (DELETE, None):
+        assert load_instance(mutate(ROTATION_JSON, ("meta",), value)).meta == {}
+
+
 def test_duplicate_preference_tuple_rejected():
     bad = json.loads(json.dumps(ROTATION_JSON))
     bad["families"][0]["preferences"] = [["d1", "d2"], ["d1", "d2"]]
@@ -146,6 +151,11 @@ def test_unlimited_quota_only_for_dummy():
         (("daycares",), 5, "daycares"),
         (("daycares", 1, "id"), ["d1"], r"daycares\[1\].id"),
         (("meta",), [1], "meta"),
+        # these four used to load as an empty meta
+        (("meta",), [], "meta"),
+        (("meta",), 0, "meta"),
+        (("meta",), False, "meta"),
+        (("meta",), "", "meta"),
     ],
 )
 def test_load_wrong_types_rejected(path, value, where):
@@ -230,7 +240,7 @@ def test_matching_requires_totality(rotation_mkt):
         with pytest.raises(MatchingError, match="assignment"):
             load_matching({"assignment": assignment}, rotation_mkt)
     # the class checks its own assignment: these raised TypeError and AttributeError
-    unhashable = {c: ["d0"] for c, _ in rotation_mkt.children}
+    unhashable = {c: ["d0"] for c in rotation_mkt.family_of}
     for assignment in (unhashable, [("c1", "d0")]):
         with pytest.raises(MatchingError, match="assignment"):
             Matching(rotation_mkt, assignment)

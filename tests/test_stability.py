@@ -36,7 +36,7 @@ def test_choice_invariants():
     rng = random.Random(3)
     for _ in range(200):
         inst = helpers.random_instance(rng)
-        children = [c for c, _ in inst.children]
+        children = list(inst.family_of)
         for dc in inst.daycares:
             applicants = {c for c in children if rng.random() < 0.5}
             sel = choice(dc, applicants)
@@ -198,6 +198,17 @@ def test_precondition_errors(rotation_mkt):
     # is_stable treats them as plain instability, not an error
     assert not is_stable(rotation_mkt, infeasible, "ours")
     assert not is_stable(rotation_mkt, not_ir, "ours")
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_matching_of_another_instance_is_rejected(rotation_mkt, seat_transfer_mkt, mode):
+    # c3..c6 missing (this raised a bare KeyError) and, the other way
+    # round, c3..c6 extra (the scan ran on the other market's rosters)
+    for instance, other in ((rotation_mkt, seat_transfer_mkt), (seat_transfer_mkt, rotation_mkt)):
+        matching = Matching.all_unmatched(other)
+        with pytest.raises(StabilityPreconditionError, match="other children"):
+            find_blocking_coalition(instance, matching, mode)
+        assert is_stable(instance, matching, mode) is False
 
 
 @pytest.mark.parametrize("mode", MODES)
