@@ -29,7 +29,6 @@ from sibmatch.model import (
     Matching,
     dump_instance,
     dump_matching,
-    family_assignment,
     is_feasible,
     is_individually_rational,
     load_instance,
@@ -61,7 +60,6 @@ __all__ = [
     "classify_failure",
     "dump_instance",
     "dump_matching",
-    "family_assignment",
     "find_blocking_coalition",
     "find_stable",
     "gen_instance",

@@ -89,13 +89,23 @@ class FailureKind:
 
     ``chain`` (type-1 only) is the displacement chain from the inserting
     family's child back into the family; ``permutation`` (type-2 only) is
-    the repeated order, 1-based.
+    the repeated order, 1-based.  :meth:`to_dict` is the one JSON form of
+    a failure: ``AlgorithmOutcome.to_dict`` adds ``details`` to it and
+    ``diagnostics.structure_report`` uses it as is.
     """
 
     kind: str
     chain: tuple[str, ...] | None = None
     permutation: tuple[int, ...] | None = None
     details: str | None = None
+
+    def to_dict(self) -> dict:
+        """``kind``, ``chain`` and ``permutation``, the last two as lists or None."""
+        return {
+            "kind": self.kind,
+            "chain": list(self.chain) if self.chain else None,
+            "permutation": list(self.permutation) if self.permutation else None,
+        }
 
 
 @dataclass
@@ -121,14 +131,7 @@ class AlgorithmOutcome:
         if self.matching is not None:
             out["matching"] = {"assignment": self.matching.assignment}
         if self.failure is not None:
-            out["failure"] = {
-                "kind": self.failure.kind,
-                "chain": list(self.failure.chain) if self.failure.chain else None,
-                "permutation": (
-                    list(self.failure.permutation) if self.failure.permutation else None
-                ),
-                "details": self.failure.details,
-            }
+            out["failure"] = {**self.failure.to_dict(), "details": self.failure.details}
         out["permutation_history"] = [list(p) for p in self.trace.pi_history]
         return out
 
@@ -196,10 +199,9 @@ class _Engine:
                     self.roster[d].discard(c)
                     self.assign[c] = DUMMY_ID
                 placed = dict(zip(fam.children, fam.preferences[j]))
-                for child, d in placed.items():
-                    self.assign[child] = d
-                    if d != DUMMY_ID:
-                        self.roster[d].add(child)
+                self.assign.update(placed)
+                for d, apps, _ in applications[j]:
+                    self.roster[d].update(apps)
                 self.trace.append(
                     "place", family=fam.id, tuple_index=j, placed=placed, evicted=evicted
                 )

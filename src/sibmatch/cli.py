@@ -107,6 +107,9 @@ def _cmd_inspect(args) -> int:
 
 def _cmd_experiment(args) -> int:
     report = run_sweep(spec_from_json(_read(args.spec)), jobs=args.jobs)
+    for (n, phi, algo), cell in report.cells.items():
+        for error in cell.errors:
+            print(f"warning: n={n} phi={phi:g} {algo}: {error}", file=sys.stderr)
     _write(args.out, render_report(report, args.format))
     return 0
 

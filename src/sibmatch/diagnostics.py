@@ -245,12 +245,7 @@ def structure_report(instance: Instance, trace: ExecutionTrace | None = None) ->
         ]
         terminal = trace.terminal
         if terminal is not None and terminal["kind"] != "success":
-            failure = classify_failure(trace)
-            report["failure"] = {
-                "kind": failure.kind,
-                "chain": list(failure.chain) if failure.chain else None,
-                "permutation": list(failure.permutation) if failure.permutation else None,
-            }
+            report["failure"] = classify_failure(trace).to_dict()
         elif terminal is not None:
             report["failure"] = None
     return report

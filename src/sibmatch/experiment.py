@@ -47,8 +47,10 @@ class SweepSpec:
     sigma, preference lengths, ...); n, phi, and seed come from the grid.
     Every field is checked on construction, ``base`` by building the
     MarketConfig of each size and the exact solver's limits by building
-    their SearchBudget; a bad field raises ValueError naming it.  Lists
-    are stored as tuples and phis as floats.
+    their SearchBudget; a bad field raises ValueError naming it.  So does
+    a repeated size or algorithm, or two phis that agree to the nine
+    decimals ``instance_seed`` hashes: each cell of the grid is run once.
+    Lists are stored as tuples and phis as floats.
     """
 
     sizes: tuple[int, ...]
@@ -75,6 +77,11 @@ class SweepSpec:
         for algo in self.algorithms:
             if algo not in ALGORITHMS:
                 raise ValueError(f"unknown algorithm {algo!r}")
+        for name, key in (("sizes", int), ("phis", "{:.9f}".format), ("algorithms", str)):
+            keys = [key(v) for v in getattr(self, name)]
+            for k, v in enumerate(keys):
+                if v in keys[:k]:
+                    raise ValueError(f"{name}: {getattr(self, name)[k]!r} repeats an earlier entry")
         for key in self.base:
             if key in ("n", "phi", "seed"):
                 raise ValueError(f"base may not override {key!r}")
@@ -108,14 +115,27 @@ class SweepSpec:
 
 @dataclass
 class CellStats:
-    """Aggregated outcomes of one (n, phi, algorithm) cell."""
+    """Aggregated outcomes of one (n, phi, algorithm) cell.
 
-    successes: int = 0
-    trials: int = 0
+    ``times`` holds the elapsed time of each successful run and
+    ``failures`` counts the failed runs by kind, so ``successes`` and
+    ``trials`` are derived from them.  ``errors`` keeps the ``repr`` of
+    each harness error; ``skipped`` marks an ``exact-*`` cell above
+    ``exact_cap``.
+    """
+
     times: list[float] = field(default_factory=list)
     failures: Counter = field(default_factory=Counter)
     skipped: bool = False
-    errors: list[str] = field(default_factory=list)  # repr of each harness error
+    errors: list[str] = field(default_factory=list)
+
+    @property
+    def successes(self) -> int:
+        return len(self.times)
+
+    @property
+    def trials(self) -> int:
+        return self.successes + sum(self.failures.values())
 
 
 @dataclass
@@ -161,13 +181,14 @@ def _run_algorithm(algo: str, instance: Instance, spec: SweepSpec, n: int):
     return False, elapsed, outcome.failure.kind
 
 
-def _run_trial(args) -> list[tuple[int, float, str, int, object, float, object, object]]:
+def _run_trial(args) -> list[tuple[str, object, float, object, object]]:
     """Worker: run all requested algorithms on one generated instance.
 
     ``args`` is ``(spec, n, phi, trial)`` with the checked spec itself,
-    which pickles for a process pool.  Each row is ``(n, phi, algo, trial, success, elapsed, failure, error)``;
-    ``error`` is the ``repr`` of the exception behind a harness error, else
-    None.
+    which pickles for a process pool.  Each row is ``(algo, success,
+    elapsed, failure, error)``, one per algorithm in spec order (the
+    caller knows the task it ran); ``error`` is the ``repr`` of the
+    exception behind a harness error, else None.
     """
     spec, n, phi, trial = args
     rows = []
@@ -182,12 +203,18 @@ def _run_trial(args) -> list[tuple[int, float, str, int, object, float, object, 
             success, elapsed, failure = _run_algorithm(algo, instance, spec, n)
         except Exception as exc:
             success, elapsed, failure, error = False, 0.0, "harness-error", repr(exc)
-        rows.append((n, phi, algo, trial, success, elapsed, failure, error))
+        rows.append((algo, success, elapsed, failure, error))
     return rows
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
-    """Run the whole grid; deterministic given the spec (timings aside)."""
+    """Run the whole grid; deterministic given the spec (timings aside).
+
+    ``jobs`` worker processes run the trials; it must be an integer >= 1
+    (1 runs them in this process), else ValueError.
+    """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     tasks = [
         (spec, n, phi, trial)
         for n in spec.sizes
@@ -200,20 +227,18 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
     else:
         per_trial = [_run_trial(t) for t in tasks]
 
-    cells: dict[tuple[int, float, str], CellStats] = {}
-    for n in spec.sizes:
-        for phi in spec.phis:
-            for algo in spec.algorithms:
-                cells[(n, phi, algo)] = CellStats()
-    for rows in per_trial:
-        for n, phi, algo, _, success, elapsed, failure, error in rows:
+    cells = {
+        (n, phi, algo): CellStats()
+        for n in spec.sizes
+        for phi in spec.phis
+        for algo in spec.algorithms
+    }
+    for (_, n, phi, _), rows in zip(tasks, per_trial):
+        for algo, success, elapsed, failure, error in rows:
             cell = cells[(n, phi, algo)]
             if success is None:
                 cell.skipped = True
-                continue
-            cell.trials += 1
-            if success:
-                cell.successes += 1
+            elif success:
                 cell.times.append(elapsed)
             else:
                 cell.failures[failure] += 1
@@ -248,14 +273,11 @@ def _cell_row(key, cell: CellStats) -> list[str]:
 
 
 def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
-    """Render with the fixed column order; one row per grid cell."""
-    keys = [
-        (n, phi, algo)
-        for n in report.spec.sizes
-        for phi in report.spec.phis
-        for algo in report.spec.algorithms
-    ]
-    rows = [_cell_row(k, report.cells[k]) for k in keys]
+    """Render with the fixed column order: one row per entry of
+    ``report.cells``, in its order (``run_sweep`` builds it in grid
+    order).  A markdown cell escapes ``|`` as ``\\|``; CSV cells are
+    written as they are."""
+    rows = [_cell_row(key, cell) for key, cell in report.cells.items()]
     if fmt == "csv":
         lines = [",".join(CSV_COLUMNS)]
         lines += [",".join(r) for r in rows]
@@ -263,7 +285,7 @@ def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
     if fmt == "markdown":
         lines = ["| " + " | ".join(CSV_COLUMNS) + " |"]
         lines.append("|" + "|".join(" --- " for _ in CSV_COLUMNS) + "|")
-        lines += ["| " + " | ".join(cell or "-" for cell in r) + " |" for r in rows]
+        lines += ["| " + " | ".join(cell.replace("|", "\\|") or "-" for cell in r) + " |" for r in rows]
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
 

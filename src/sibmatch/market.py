@@ -415,7 +415,9 @@ def gen_instance(cfg: MarketConfig) -> Instance:
 
     Deterministic in ``cfg`` (including the seed); the returned instance
     carries ages, the reference ordering, and the grouping record in its
-    ``meta`` block.
+    ``meta`` block.  Preferences are drawn as physical daycare indices;
+    each tuple is then mapped to unit ids through a table built once per
+    market, ``unit_ids[d][age]``.
     """
     rng = np.random.default_rng(cfg.seed)
     f2, f3, _, co = family_counts(cfg)
@@ -425,6 +427,7 @@ def gen_instance(cfg: MarketConfig) -> Instance:
     total_families = len(sizes)
     m_phys = max(1, int(cfg.daycare_ratio * total_families + 1e-9))
     phys = [f"d{k}" for k in range(1, m_phys + 1)]
+    unit_ids = [[_unit_id(p, age) for age in range(num_ages)] for p in phys]
 
     child_ids: list[str] = []
     family_children: list[list[str]] = []
@@ -443,16 +446,13 @@ def gen_instance(cfg: MarketConfig) -> Instance:
     for k, kids in enumerate(family_children):
         fid = f"f{k + 1}"
         if len(kids) == 1:
-            picks = _distinct_draws(cdf, single_len, rng)
-            tuples = [(phys[d],) for d in picks]
+            tuples = [(d,) for d in _distinct_draws(cdf, single_len, rng)]
         else:
-            lists = [
-                [phys[d] for d in _distinct_draws(cdf, sibling_len, rng)]
-                for _ in kids
-            ]
+            lists = [_distinct_draws(cdf, sibling_len, rng) for _ in kids]
             tuples = gen_family_prefs(lists, cfg.joint_pref_length, rng)
+        kid_ages = [ages[c] for c in kids]
         mapped = tuple(
-            tuple(_unit_id(d, ages[c]) for c, d in zip(kids, tup)) for tup in tuples
+            tuple(unit_ids[d][age] for d, age in zip(tup, kid_ages)) for tup in tuples
         )
         families.append(Family(id=fid, children=tuple(kids), preferences=mapped))
 

@@ -33,7 +33,6 @@ __all__ = [
     "MatchingError",
     "dump_instance",
     "dump_matching",
-    "family_assignment",
     "is_feasible",
     "is_individually_rational",
     "load_instance",
@@ -254,14 +253,14 @@ class Instance:
             self.rank[dc.id] = ranks
 
         # F^S / F^O partition, in family-id order (the canonical scan order).
-        self.sibling_families: tuple[str, ...] = tuple(
-            sorted(f.id for f in self.families if f.size > 1)
-        )
-        self.singleton_families: tuple[str, ...] = tuple(
-            sorted(f.id for f in self.families if f.size == 1)
-        )
         self.families_in_id_order: tuple[Family, ...] = tuple(
             self.families_by_id[fid] for fid in sorted(self.families_by_id)
+        )
+        self.sibling_families: tuple[str, ...] = tuple(
+            f.id for f in self.families_in_id_order if f.size > 1
+        )
+        self.singleton_families: tuple[str, ...] = tuple(
+            f.id for f in self.families_in_id_order if f.size == 1
         )
         self.quota: dict[str, int | None] = {d.id: d.quota for d in self.daycares}
 
@@ -345,11 +344,6 @@ class Matching:
     def __repr__(self) -> str:
         matched = sum(1 for d in self._assignment.values() if d != DUMMY_ID)
         return f"Matching({matched}/{len(self._assignment)} matched)"
-
-
-def family_assignment(matching: Matching, family: Family) -> tuple[str, ...]:
-    """The tuple of daycares assigned to a family, in sibling order."""
-    return matching.family_tuple(family)
 
 
 def is_feasible(instance: Instance, matching: Matching) -> bool:

@@ -104,22 +104,24 @@ def find_stable(
     quota = instance.quota
     options = []
     for fam in families:
-        # (rank, tuple, applications); a listed tuple's rank is its index
+        # (rank, applications); a listed tuple's rank is its index and the
+        # unlisted all-dummy tuple ranks just below the last one
         opts = [
-            (j, tup, apps)
-            for j, (tup, apps) in enumerate(zip(fam.preferences, instance.applications[fam.id]))
+            (j, apps)
+            for j, apps in enumerate(instance.applications[fam.id])
             if all(c in instance.rank[d] for d, group, _ in apps for c in group)
         ]
         if fam.all_dummy not in fam.preferences:
-            opts.append((fam.tuple_rank(fam.all_dummy), fam.all_dummy, ()))
+            opts.append((len(fam.preferences), ()))
         options.append(opts)
 
+    # the search state is the rosters of the families placed so far and
+    # their ranks; leaves are feasible and IR by construction, so the
+    # blocking scan runs on the rosters directly, and only a stable leaf
+    # is turned into an assignment
     rosters: dict[str, set[str]] = {
         d.id: set() for d in instance.daycares if d.id != DUMMY_ID
     }
-    assign: dict[str, str] = dict.fromkeys(instance.family_of, DUMMY_ID)
-    # leaves are feasible and IR by construction, so the blocking scan
-    # can run directly on the incrementally maintained rosters
     current_rank: dict[str, int] = {f.id: 0 for f in instance.families}
     # extended[i]: the rosters plus every child that a kept option of a
     # family i.. seats at the daycare (suffix unions, all acceptable there)
@@ -127,7 +129,7 @@ def find_stable(
     extended = [_Extended(rosters, later)]
     for opts in reversed(options):
         later = dict(later)
-        for _, _, applications in opts:
+        for _, applications in opts:
             for d, apps, _ in applications:
                 later[d] = later.get(d, frozenset()).union(apps)
         extended.append(_Extended(rosters, later))
@@ -142,17 +144,17 @@ def find_stable(
         if nodes % 1024 == 0 and time.monotonic() > deadline:
             raise _Budget
         if i == len(families):
-            if scan_blocking(instance, current_rank, rosters, mode) is None:
-                return Matching(instance, assign)
-            return None
+            if scan_blocking(instance, current_rank, rosters, mode) is not None:
+                return None
+            assign = dict.fromkeys(instance.family_of, DUMMY_ID)
+            assign.update((c, d) for d, seated in rosters.items() for c in seated)
+            return Matching(instance, assign)
         fam = families[i]
-        for rank, tup, applications in options[i]:
+        for rank, applications in options[i]:
             if any(len(rosters[d]) + len(apps) > quota[d] for d, apps, _ in applications):
                 continue
-            for child, d in zip(fam.children, tup):
-                assign[child] = d
-                if d != DUMMY_ID:
-                    rosters[d].add(child)
+            for d, apps, _ in applications:
+                rosters[d].update(apps)
             current_rank[fam.id] = rank
             # a family that blocks against the widest possible rosters
             # blocks at every leaf below: skip the subtree
@@ -160,10 +162,8 @@ def find_stable(
                 result = None
             else:
                 result = search(i + 1)
-            for child, d in zip(fam.children, tup):
-                assign[child] = DUMMY_ID
-                if d != DUMMY_ID:
-                    rosters[d].discard(child)
+            for d, apps, _ in applications:
+                rosters[d].difference_update(apps)
             if result is not None:
                 return result
         return None

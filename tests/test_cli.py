@@ -3,6 +3,7 @@ import json
 import pytest
 
 import helpers
+from sibmatch import experiment
 from sibmatch.algorithms import run_da
 from sibmatch.cli import main
 from sibmatch.market import MarketConfig, gen_instance
@@ -190,13 +191,48 @@ def test_experiment_config_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     "field, value",
     [("base", {"foo": 1}), ("sizes", 5), ("trials", "3"), ("exact_cap", None),
-     ("exact_max_nodes", 0), ("exact_max_millis", -1)],
+     ("exact_max_nodes", 0), ("exact_max_millis", -1), ("phis", [0.5, 0.5]),
+     ("algorithms", ["esda", "esda"])],
 )
 def test_experiment_wrong_spec_field_exits_2(tmp_path, capsys, field, value):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"sizes": [10], "phis": [0.5], field: value}))
     assert main(["experiment", "--spec", str(spec_path), "--out", "-"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_experiment_bad_job_count_exits_2(tmp_path, capsys, jobs):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"sizes": [10], "phis": [0.5], "trials": 1}))
+    assert main(["experiment", "--spec", str(spec_path), "--out", "-", "--jobs", jobs]) == 2
+    assert capsys.readouterr().err == f"error: jobs must be an integer >= 1, got {jobs}\n"
+
+
+def test_experiment_warns_of_harness_errors(tmp_path, capsys, monkeypatch):
+    spec = {"sizes": [12], "phis": [0.5, 1.0], "trials": 2, "algorithms": ["esda", "sc"], "seed": 5,
+            "base": {"alpha": 0.4, "L": 2, "daycare_ratio": 0.5,
+                     "sibling_pref_length": 3, "joint_pref_length": 4}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    real = experiment._run_algorithm
+
+    def flaky(algo, instance, spec, n):
+        if algo == "sc":
+            raise RuntimeError(f"boom at n={n}")
+        return real(algo, instance, spec, n)
+
+    monkeypatch.setattr(experiment, "_run_algorithm", flaky)
+    out_path = tmp_path / "report.csv"
+    assert main(["experiment", "--spec", str(spec_path), "--out", str(out_path)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: n=12 phi=0.5 sc: RuntimeError('boom at n=12')",
+        "warning: n=12 phi=0.5 sc: RuntimeError('boom at n=12')",
+        "warning: n=12 phi=1 sc: RuntimeError('boom at n=12')",
+        "warning: n=12 phi=1 sc: RuntimeError('boom at n=12')",
+    ]
+    # the report still reads the errors as counts only
+    assert "\n12,0.5,sc,0/2,nan,nan,harness-error:2\n" in out_path.read_text()
 
 
 def test_missing_file_reports_error(capsys):

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from sibmatch import experiment
 from sibmatch.experiment import (
     ALGORITHMS,
+    CellStats,
     ExperimentReport,
     SweepSpec,
     instance_seed,
@@ -112,6 +114,13 @@ def test_markdown_rendering():
     lines = text.splitlines()
     assert lines[0].startswith("| n | phi ")
     assert lines[2].startswith("| 10 | 0.5 | da | 1/1 ")
+    # a failures cell with two kinds stays one markdown cell; CSV keeps the raw "|"
+    two_kinds = CellStats(failures=Counter({"type-1b": 1, "type-1a": 1}))
+    report = ExperimentReport(spec=spec, cells={(10, 0.5, "esda"): two_kinds})
+    row = render_report(report, "markdown").splitlines()[2]
+    assert row == "| 10 | 0.5 | esda | 0/2 | nan | nan | type-1a:1\\|type-1b:1 |"
+    assert row.replace("\\|", "").count("|") == len(experiment.CSV_COLUMNS) + 1
+    assert render_report(report, "csv").splitlines()[1] == "10,0.5,esda,0/2,nan,nan,type-1a:1|type-1b:1"
 
 
 def test_success_counts_add_up():
@@ -180,6 +189,10 @@ def test_spec_validation():
         ("exact_cap", None),
         ("exact_max_nodes", 0),
         ("exact_max_millis", -1),
+        ("sizes", [10, 10]),
+        ("phis", [1.0, 1]),
+        ("phis", [0.5, 0.5000000001]),
+        ("algorithms", ["esda", "sc", "esda"]),
     ],
 )
 def test_spec_rejects_wrong_fields(field, value):
@@ -242,3 +255,30 @@ def test_parallel_jobs_match_sequential():
     seq = strip_timing(render_report(run_sweep(spec, jobs=1), "csv"))
     par = strip_timing(render_report(run_sweep(spec, jobs=2), "csv"))
     assert seq == par
+
+
+def test_cell_counts_derive_from_times_and_failures():
+    cell = CellStats(times=[0.1, 0.2, 0.3], failures=Counter({"type-1a": 2, "harness-error": 1}))
+    assert (cell.successes, cell.trials) == (3, 6)
+    assert (CellStats().successes, CellStats().trials) == (0, 0)
+    with pytest.raises(AttributeError):
+        cell.successes = 4
+
+
+def test_render_report_renders_the_cells_it_is_given():
+    # keys outside the spec's grid, in reverse grid order, are rendered as given
+    cells = {
+        (14, 1.0, "sc"): CellStats(failures=Counter({"sc-application-clash": 1})),
+        (12, 0.5, "esda"): CellStats(times=[0.5]),
+    }
+    report = ExperimentReport(spec=small_spec(), cells=cells)
+    assert render_report(report, "csv").splitlines()[1:] == [
+        "14,1,sc,0/1,nan,nan,sc-application-clash:1",
+        "12,0.5,esda,1/1,0.5000,0.0000,",
+    ]
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.0, True, None])
+def test_run_sweep_rejects_a_bad_job_count(jobs):
+    with pytest.raises(ValueError, match="jobs"):
+        run_sweep(small_spec(trials=1), jobs=jobs)

@@ -16,7 +16,6 @@ from sibmatch.model import (
     MatchingError,
     dump_instance,
     dump_matching,
-    family_assignment,
     instance_to_dict,
     is_feasible,
     is_individually_rational,
@@ -251,13 +250,13 @@ def test_family_assignment_matched_families(restart_mkt):
         restart_mkt,
         {"c1": "d1", "c2": "d2", "c3": "d0", "c4": "d0", "c5": "d3", "c6": "d4"},
     )
-    assert family_assignment(m, restart_mkt.families_by_id["f1"]) == ("d1", "d2")
-    assert family_assignment(m, restart_mkt.families_by_id["f3"]) == ("d3", "d4")
+    assert m.family_tuple(restart_mkt.families_by_id["f1"]) == ("d1", "d2")
+    assert m.family_tuple(restart_mkt.families_by_id["f3"]) == ("d3", "d4")
 
 
 def test_family_assignment_unmatched(rotation_mkt):
     m = Matching.all_unmatched(rotation_mkt)
-    assert family_assignment(m, rotation_mkt.families_by_id["f1"]) == ("d0", "d0")
+    assert m.family_tuple(rotation_mkt.families_by_id["f1"]) == ("d0", "d0")
 
 
 def test_family_assignment_second_family(rotation_mkt):
@@ -265,7 +264,7 @@ def test_family_assignment_second_family(rotation_mkt):
         rotation_mkt,
         {"c1": "d0", "c2": "d0", "c3": "d2", "c4": "d3", "c5": "d0", "c6": "d0"},
     )
-    assert family_assignment(mu2, rotation_mkt.families_by_id["f2"]) == ("d2", "d3")
+    assert mu2.family_tuple(rotation_mkt.families_by_id["f2"]) == ("d2", "d3")
 
 
 def test_family_assignment_respects_sibling_order():
@@ -274,7 +273,7 @@ def test_family_assignment_respects_sibling_order():
         inst = helpers.random_instance(rng)
         m = helpers.random_feasible_ir_matching(rng, inst)
         for fam in inst.families:
-            tup = family_assignment(m, fam)
+            tup = m.family_tuple(fam)
             assert tup == tuple(m[c] for c in fam.children)
 
 
