@@ -9,6 +9,7 @@ implementation and is recorded next to benchmark results.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from collections import deque
 
 import numpy as np
@@ -61,28 +62,17 @@ def decode_insertions(displacements) -> np.ndarray:
 def count_inversions(seq) -> int:
     """Number of pairs (i, j) with i < j and seq[i] > seq[j].
 
-    Iterative bottom-up merge count, O(n log n).
+    Each item is inserted into the sorted list of the items before it:
+    ``bisect_right`` finds its place, so equal items are not counted, and
+    the ``k - place`` earlier items above it are its inversions.  That is
+    O(n log n) comparisons and O(n²) bytes moved by ``list.insert``'s
+    ``memmove``: faster than a merge count up to about 15,000 items,
+    slower beyond.  The orderings compared here have a few thousand.
     """
-    a = list(seq)
-    n = len(a)
-    buf = a[:]
+    seen: list = []
     inversions = 0
-    width = 1
-    while width < n:
-        for lo in range(0, n - width, 2 * width):
-            mid = lo + width
-            hi = min(lo + 2 * width, n)
-            i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if a[i] <= a[j]:
-                    buf[k] = a[i]
-                    i += 1
-                else:
-                    buf[k] = a[j]
-                    j += 1
-                    inversions += mid - i
-                k += 1
-            buf[k:hi] = a[i:mid] if i < mid else a[j:hi]
-            a[lo:hi] = buf[lo:hi]
-        width *= 2
+    for k, item in enumerate(seq):
+        place = bisect_right(seen, item)
+        inversions += k - place
+        seen.insert(place, item)
     return inversions

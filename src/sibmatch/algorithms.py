@@ -380,33 +380,32 @@ def classify_failure(trace: ExecutionTrace) -> FailureKind:
                 f"at {terminal['daycare']}"
             ),
         )
-    if kind == "repeat":
-        inserting = terminal["inserting"]
-        if terminal["displaced"] != inserting:
-            return FailureKind(
-                TYPE_2_PERMUTATION_REPEAT, permutation=tuple(terminal["new_pi"])
-            )
-        # The terminal chain holds the final attempt's last eviction.
-        attempts = trace.attempts()
-        if not attempts:
-            raise ValueError("trace has no attempt event")
-        events = attempts[-1]
-        evictions = [x for e in events if e["kind"] == "place" for x in e["evicted"]]
-        if not evictions:
-            raise ValueError("trace has no evictions in its final attempt")
-        child, daycare, _ = evictions[-1]
-        chain = next(
-            children
-            for children, daycares, _, _ in reversed(displacement_chains(events))
-            if children[-1] == child and daycares[-1] == daycare
+    # trace.terminal yields only TERMINAL_KINDS, so this one is "repeat"
+    inserting = terminal["inserting"]
+    if terminal["displaced"] != inserting:
+        return FailureKind(
+            TYPE_2_PERMUTATION_REPEAT, permutation=tuple(terminal["new_pi"])
         )
-        if not any(
-            e["kind"] == "place" and e["family"] == inserting and chain[0] in e["placed"]
-            for e in events
-        ):
-            raise ValueError(
-                f"chain {chain} does not start at a child {inserting!r} placed; malformed trace"
-            )
-        kind = TYPE_1A if chain[0] == chain[-1] else TYPE_1B
-        return FailureKind(kind, chain=chain)
-    raise ValueError(f"unrecognised terminal event kind {kind!r}")
+    # The terminal chain holds the final attempt's last eviction.
+    attempts = trace.attempts()
+    if not attempts:
+        raise ValueError("trace has no attempt event")
+    events = attempts[-1]
+    evictions = [x for e in events if e["kind"] == "place" for x in e["evicted"]]
+    if not evictions:
+        raise ValueError("trace has no evictions in its final attempt")
+    child, daycare, _ = evictions[-1]
+    chain = next(
+        children
+        for children, daycares, _, _ in reversed(displacement_chains(events))
+        if children[-1] == child and daycares[-1] == daycare
+    )
+    if not any(
+        e["kind"] == "place" and e["family"] == inserting and chain[0] in e["placed"]
+        for e in events
+    ):
+        raise ValueError(
+            f"chain {chain} does not start at a child {inserting!r} placed; malformed trace"
+        )
+    kind = TYPE_1A if chain[0] == chain[-1] else TYPE_1B
+    return FailureKind(kind, chain=chain)

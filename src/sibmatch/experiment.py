@@ -140,7 +140,8 @@ class CellStats:
 
 @dataclass
 class ExperimentReport:
-    spec: SweepSpec
+    """A sweep's cells, keyed ``(n, phi, algorithm)`` in grid order."""
+
     cells: dict[tuple[int, float, str], CellStats]
 
 
@@ -195,8 +196,8 @@ def _run_trial(args) -> list[tuple[str, object, float, object, object]]:
     try:
         cfg = _market_config(spec.base, n, phi, instance_seed(spec.seed, n, phi, trial))
         instance = gen_instance(cfg)
-    except Exception as exc:  # config errors propagate, per-instance faults isolate
-        raise RuntimeError(f"generation failed for n={n} phi={phi} trial={trial}: {exc}")
+    except Exception as exc:  # a generation fault ends the sweep, naming its trial
+        raise ValueError(f"generation failed for n={n} phi={phi} trial={trial}: {exc}") from exc
     for algo in spec.algorithms:
         error = None
         try:
@@ -211,7 +212,10 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
     """Run the whole grid; deterministic given the spec (timings aside).
 
     ``jobs`` worker processes run the trials; it must be an integer >= 1
-    (1 runs them in this process), else ValueError.
+    (1 runs them in this process), else ValueError.  A market that fails
+    to generate raises ValueError ``generation failed for n=.. phi=..
+    trial=..: <cause>``; an algorithm's exception only counts as a
+    ``harness-error`` failure of its cell.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -244,7 +248,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
                 cell.failures[failure] += 1
                 if error is not None:
                     cell.errors.append(error)
-    return ExperimentReport(spec=spec, cells=cells)
+    return ExperimentReport(cells=cells)
 
 
 CSV_COLUMNS = ("n", "phi", "algorithm", "success", "time_mean_s", "time_std_s", "failures")

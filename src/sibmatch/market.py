@@ -6,10 +6,13 @@ The synthetic protocol, end to end:
    siblings; two-sibling families hold 80% of them and three-sibling
    families the remaining 20% (counts truncated to integers).  Everyone
    else is an only child.
-2. Daycares.  ``int(daycare_ratio * |F|)`` physical daycares, each split
-   into one unit per age group with quotas from ``capacity_profile``.
-   Children get independent uniform ages; a preference for a physical
-   daycare means its unit for the child's age.
+2. Daycares.  ``int(daycare_ratio * |F|)`` physical daycares, at least
+   one and at most ``n``: a ratio giving more daycares than children
+   raises ValueError, as every unit ranks every child of its age and
+   more units only spend memory.  Each daycare is split into one unit
+   per age group with quotas from ``capacity_profile``.  Children get
+   independent uniform ages; a preference for a physical daycare means
+   its unit for the child's age.
 3. Family preferences.  A daycare-selection distribution with pairwise
    probability ratios within ``[1/sigma, sigma]`` is drawn once; each
    child samples a duplicate-free individual list from it, and sibling
@@ -17,9 +20,10 @@ The synthetic protocol, end to end:
    product of their children's lists, in uniform random order.
 4. Priorities.  A global reference ordering places each sibling family
    contiguously with probability ``1 - 1/n**(1+epsilon)`` and splits it
-   otherwise; every daycare unit then draws an independent permutation
-   from the Mallows distribution around that reference (dispersion
-   ``phi``) and keeps the children of its age group.
+   otherwise; an epsilon so large that the power leaves the float range
+   splits no family.  Every daycare unit then draws an independent
+   permutation from the Mallows distribution around that reference
+   (dispersion ``phi``) and keeps the children of its age group.
 
 Everything is driven by one seeded generator, so equal configs produce
 byte-identical instances.
@@ -99,7 +103,8 @@ class MarketConfig:
     ``joint_pref_length`` tuples.  ``capacity_profile`` gives one quota
     per age group and fixes the number of age groups; a list is stored
     as a tuple.  Every field is checked on construction: a value of the
-    wrong type or range raises ValueError.
+    wrong type or range raises ValueError, and so does a ``daycare_ratio``
+    that gives more physical daycares than the ``n`` children.
     """
 
     n: int
@@ -139,9 +144,12 @@ class MarketConfig:
             raise ValueError("daycare_ratio must be positive")
         if not self.capacity_profile or any(q < 0 for q in self.capacity_profile):
             raise ValueError("capacity_profile must be non-empty and non-negative")
-        f2, f3, cs, _ = family_counts(self)
+        f2, f3, cs, co = family_counts(self)
         if cs > self.n:
             raise ValueError(f"sibling children ({cs}) exceed n ({self.n})")
+        families = f2 + f3 + co
+        if self.daycare_ratio * families > self.n:
+            raise ValueError(f"daycare_ratio * families exceeds n: {self.daycare_ratio} * {families} > {self.n}")
         if f3 > 0 and self.K < 3:
             raise ValueError("config yields three-sibling families but K < 3")
         if f2 > 0 and self.K < 2:
@@ -277,7 +285,10 @@ def gen_reference_ordering(
     Returns ``(ordering, grouped)``: the ordering as a tuple of child ids,
     and for each sibling family whether it entered as one block.
     """
-    split_p = 1.0 / n ** (1.0 + epsilon) if n > 0 else 0.0
+    try:
+        split_p = 1.0 / n ** (1.0 + epsilon) if n > 0 else 0.0
+    except OverflowError:  # the power leaves the float range, so 1/power is below it
+        split_p = 0.0
     entities: list[tuple[str, ...]] = []
     grouped: dict[str, bool] = {}
     for fam in families:
@@ -359,7 +370,13 @@ def mallows_sample(reference, phi: float, rng, size: int | None = None):
 
 
 def kendall_tau(a: Sequence, b: Sequence) -> int:
-    """Number of pairwise inversions between two orderings of one set."""
+    """Number of pairwise inversions between two orderings of one set.
+
+    Raises ValueError unless ``a`` and ``b`` hold the same distinct items.
+    The count is ``_kernels.count_inversions`` of b's positions in a's
+    order: O(n log n) comparisons and O(n²) bytes moved, a few ms at
+    3,000 items.
+    """
     pos = {item: i for i, item in enumerate(b)}
     if len(pos) != len(b):
         raise ValueError("ordering b contains duplicates")

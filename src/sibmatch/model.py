@@ -402,8 +402,6 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
     for key in ("families", "daycares"):
         _expect(key in data, "$", f"missing key {key!r}")
         _expect(isinstance(data[key], list), key, "expected a list")
-    meta = data.get("meta")
-    _expect(meta is None or isinstance(meta, Mapping), "meta", "expected an object")
 
     families = []
     for idx, raw in enumerate(data["families"]):
@@ -433,7 +431,7 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
         _expect(isinstance(priority, list), f"{path}.priority", "expected a list")
         daycares.append(Daycare(id=raw["id"], quota=raw["quota"], priority=tuple(priority)))
 
-    return Instance(families, daycares, meta=meta)
+    return Instance(families, daycares, meta=data.get("meta"))
 
 
 def instance_to_dict(instance: Instance) -> dict:

@@ -224,6 +224,11 @@ def test_classify_failure_rejects_success_trace(restart_mkt):
         classify_failure(out.trace)
 
 
+def test_classify_failure_rejects_a_trace_without_terminal_event():
+    with pytest.raises(ValueError, match="trace has no terminal event"):
+        classify_failure(ExecutionTrace())
+
+
 def test_exhausted_family_rests_unmatched():
     # f1's only tuple is refused: it must land on the dummy, run succeeds
     inst = helpers.make_instance(

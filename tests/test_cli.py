@@ -93,6 +93,18 @@ def test_gen_rejects_a_sigma_past_the_float_range(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_gen_groups_every_family_at_a_huge_epsilon(capsys):
+    assert main(["gen", "--n", "50", "--phi", "0.5", "--epsilon", "2000", "--out", "-"]) == 0
+    assert all(json.loads(capsys.readouterr().out)["meta"]["grouped_families"].values())
+
+
+def test_gen_rejects_more_daycares_than_children(tmp_path, capsys):
+    out_path = tmp_path / "gen.json"
+    assert main(["gen", "--n", "50", "--phi", "0.5", "--daycare-ratio", "1e308", "--out", str(out_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: daycare_ratio * families exceeds n")
+    assert not out_path.exists()
+
+
 def test_solve_failure_payload(tmp_path, capsys):
     inst_path = tmp_path / "self_cycle_mkt.json"
     inst_path.write_text(dump_instance(helpers.self_cycle_market()))
@@ -137,9 +149,12 @@ def test_gen_solve_inspect_pipeline(tmp_path, capsys):
 
 
 PLACE_LIST = '{"kind": "place", "family": "f1", "tuple_index": 0, "placed": {"c1": [1]}, "evicted": []}'
+EVICTED_PAIR = '{"kind": "place", "family": "f1", "tuple_index": 0, "placed": {}, "evicted": [["c1", "d1"]]}'
 
 
-@pytest.mark.parametrize("line", ["5", "[1]", "{}", '{"kind": "place"}', '{"kind": "attempt"}', PLACE_LIST])
+@pytest.mark.parametrize(
+    "line", ["5", "[1]", "{}", '{"kind": "place"}', '{"kind": "attempt"}', PLACE_LIST, EVICTED_PAIR]
+)
 def test_inspect_rejects_a_malformed_trace(tmp_path, capsys, seat_market_file, line):
     trace_path = tmp_path / "t.jsonl"
     trace_path.write_text('{"kind": "success"}\n' + line + "\n")
@@ -199,6 +214,16 @@ def test_experiment_wrong_spec_field_exits_2(tmp_path, capsys, field, value):
     spec_path.write_text(json.dumps({"sizes": [10], "phis": [0.5], field: value}))
     assert main(["experiment", "--spec", str(spec_path), "--out", "-"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_experiment_generation_failure_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"sizes": [50], "phis": [0.5], "trials": 1, "base": {"sigma": 1e308}}))
+    assert main(["experiment", "--spec", str(spec_path), "--out", "-"]) == 2
+    assert capsys.readouterr().err == (
+        "error: generation failed for n=50 phi=0.5 trial=0: "
+        "sigma * m exceeds the float range: 1e+308 * 4\n"
+    )
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -61,7 +61,7 @@ def test_instance_seed_stable_values():
 
 def test_render_empty_report_header_only():
     spec = SweepSpec(sizes=(), phis=(), trials=1)
-    report = ExperimentReport(spec=spec, cells={})
+    report = ExperimentReport(cells={})
     text = render_report(report, "csv")
     assert text == "n,phi,algorithm,success,time_mean_s,time_std_s,failures\n"
 
@@ -116,7 +116,7 @@ def test_markdown_rendering():
     assert lines[2].startswith("| 10 | 0.5 | da | 1/1 ")
     # a failures cell with two kinds stays one markdown cell; CSV keeps the raw "|"
     two_kinds = CellStats(failures=Counter({"type-1b": 1, "type-1a": 1}))
-    report = ExperimentReport(spec=spec, cells={(10, 0.5, "esda"): two_kinds})
+    report = ExperimentReport(cells={(10, 0.5, "esda"): two_kinds})
     row = render_report(report, "markdown").splitlines()[2]
     assert row == "| 10 | 0.5 | esda | 0/2 | nan | nan | type-1a:1\\|type-1b:1 |"
     assert row.replace("\\|", "").count("|") == len(experiment.CSV_COLUMNS) + 1
@@ -271,11 +271,23 @@ def test_render_report_renders_the_cells_it_is_given():
         (14, 1.0, "sc"): CellStats(failures=Counter({"sc-application-clash": 1})),
         (12, 0.5, "esda"): CellStats(times=[0.5]),
     }
-    report = ExperimentReport(spec=small_spec(), cells=cells)
+    report = ExperimentReport(cells=cells)
     assert render_report(report, "csv").splitlines()[1:] == [
         "14,1,sc,0/1,nan,nan,sc-application-clash:1",
         "12,0.5,esda,1/1,0.5000,0.0000,",
     ]
+
+
+def test_render_report_rejects_an_unknown_format():
+    with pytest.raises(ValueError, match="unknown format 'html'"):
+        render_report(ExperimentReport(cells={}), "html")
+
+
+def test_run_sweep_raises_value_error_when_generation_fails():
+    spec = SweepSpec(sizes=(50,), phis=(0.5,), trials=1, base={"sigma": 1e308})
+    with pytest.raises(ValueError, match=r"^generation failed for n=50 phi=0.5 trial=0: sigma \* m") as err:
+        run_sweep(spec)
+    assert isinstance(err.value.__cause__, ValueError)
 
 
 @pytest.mark.parametrize("jobs", [0, -3, 1.0, True, None])

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sibmatch import _kernels
@@ -97,3 +98,21 @@ def test_inversions_of_decode_equals_displacement_sum():
         # item value = reference rank, so inversions of the permutation
         # equal the total displacement
         assert brute_inversions(perm) == sum(v)
+
+
+def test_count_inversions_of_long_decoded_permutations():
+    # a decoded permutation has sum(v) inversions, so long rows need no brute count
+    rng = random.Random(4)
+    for n in (12, 500, 3000, 20_000):
+        for width in (n, 3):
+            v = [rng.randrange(0, min(i, width) + 1) for i in range(n)]
+            perm = _kernels.decode_insertions(v).tolist()
+            assert _kernels.count_inversions(perm) == sum(v)
+
+
+def test_count_inversions_does_not_count_equal_items():
+    rng = np.random.default_rng(5)
+    seq = rng.integers(0, 40, size=2000)
+    expect = int(np.triu(seq[:, None] > seq[None, :], 1).sum())
+    assert _kernels.count_inversions(seq.tolist()) == expect
+    assert _kernels.count_inversions([3, 3, 3, 1, 1]) == 6

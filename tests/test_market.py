@@ -4,6 +4,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sibmatch import _kernels
 from sibmatch.diagnostics import diameter
@@ -19,7 +21,7 @@ from sibmatch.market import (
     mallows_sample,
     _gen_daycares,
 )
-from sibmatch.model import DUMMY_ID, Family, dump_instance
+from sibmatch.model import DUMMY_ID, Family, Instance, dump_instance
 
 
 def rng_of(seed=0):
@@ -285,6 +287,8 @@ def test_kendall_tau_mismatch():
         kendall_tau(["a", "b"], ["a", "c"])
     with pytest.raises(ValueError):
         kendall_tau(["a", "a"], ["a", "a"])
+    with pytest.raises(ValueError, match="ordering a contains duplicates"):
+        kendall_tau(["a", "a"], ["a", "b"])
 
 
 def test_kendall_tau_symmetry_random():
@@ -413,6 +417,42 @@ def test_gen_instance_rejects_a_sigma_past_the_float_range():
         gen_instance(MarketConfig(n=50, phi=0.5, sigma=1e308))
 
 
+@pytest.mark.parametrize("epsilon", [2000.0, 1e308])
+def test_gen_instance_groups_every_family_at_a_huge_epsilon(epsilon):
+    # n ** (1 + epsilon) leaves the float range; it raised OverflowError
+    grouped = gen_instance(MarketConfig(n=50, phi=0.5, epsilon=epsilon)).meta["grouped_families"]
+    assert grouped and all(grouped.values())
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.fixed_dictionaries({
+        "n": st.integers(1, 40),
+        "phi": st.floats(0.0, 1.0),
+        "alpha": st.floats(0.0, 1.0),
+        "K": st.integers(1, 3),
+        "L": st.integers(1, 12),
+        # each of these from a small range or from the whole float range
+        "sigma": st.floats(1.0, 4.0) | st.floats(1.0, 1.7e308),
+        "epsilon": st.floats(0.0, 4.0) | st.floats(0.0, 1.7e308),
+        "daycare_ratio": st.floats(0.0, 1.0) | st.floats(0.0, 1.7e308),
+        "capacity_profile": st.lists(st.integers(0, 5), min_size=1, max_size=6),
+        "sibling_pref_length": st.integers(1, 12),
+        "joint_pref_length": st.integers(1, 12),
+        "seed": st.integers(0, 2**32),
+    })
+)
+def test_gen_instance_returns_or_raises_value_error(params):
+    try:
+        cfg = MarketConfig(**params)
+    except ValueError:
+        return
+    try:
+        assert isinstance(gen_instance(cfg), Instance)
+    except ValueError:
+        pass
+
+
 def _market_parts(cfg):
     inst = gen_instance(cfg)
     meta = inst.meta
@@ -506,6 +546,12 @@ def test_market_config_validation():
         MarketConfig(n=10, phi=0.5, sigma=0.9)
     with pytest.raises(ValueError):
         MarketConfig(n=500, phi=0.5, K=2)  # three-sibling families need K >= 3
+    with pytest.raises(ValueError, match="two-sibling families but K < 2"):
+        MarketConfig(n=10, phi=0.5, alpha=0.5, K=1)  # two two-sibling families, no three
+    # at most one physical daycare per child: 10 only children, ratio up to 1
+    assert MarketConfig(n=10, phi=0.5, alpha=0.0, daycare_ratio=1.0).daycare_ratio == 1.0
+    with pytest.raises(ValueError, match="daycare_ratio"):
+        MarketConfig(n=10, phi=0.5, alpha=0.0, daycare_ratio=1.1)
     # an infinite sigma made generation run without end
     for field in ("sigma", "epsilon", "daycare_ratio"):
         for value in (float("inf"), float("nan")):
@@ -517,7 +563,9 @@ def test_market_config_validation():
     "field, value",
     [("L", 2.5), ("n", "5"), ("n", 50.0), ("n", True), ("seed", -1), ("seed", 1.0),
      ("alpha", "0.2"), ("capacity_profile", [5, "a"]), ("capacity_profile", 5),
-     ("n", 10**400), ("sigma", 10**400), ("daycare_ratio", 10**400)],
+     ("n", 10**400), ("sigma", 10**400), ("daycare_ratio", 10**400),
+     ("epsilon", -0.5), ("K", 0), ("daycare_ratio", 0.0),
+     ("daycare_ratio", 1e7), ("daycare_ratio", 1e308)],
 )
 def test_market_config_rejects_wrong_types(field, value):
     # L=2.5 was accepted and gave only children lists of 4-8 daycares;

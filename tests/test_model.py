@@ -186,6 +186,7 @@ ONE_CHILD = [Family("f1", ("c1",), ())]
         (ONE_CHILD, [Daycare("d1", "2", ("c1",))], None, r"daycares\[d1\].quota"),
         (ONE_CHILD, [Daycare("d1", True, ("c1",))], None, r"daycares\[d1\].quota"),
         (ONE_CHILD, [Daycare("d1", 1.5, ("c1",))], None, r"daycares\[d1\].quota"),
+        (ONE_CHILD, [Daycare("d1", -1, ("c1",))], None, r"daycares\[d1\].quota: negative quota -1"),
         ([Family("f1", ("c1",), (["d0"],))], [], None, r"families\[f1\].preferences\[0\]"),
         ([Family("f1", ("c1",), ((["d0"],),))], [], None, r"families\[f1\].preferences\[0\]"),
         ([Family("f1", ("c1",), None)], [], None, r"families\[f1\].preferences: expected a tuple"),
@@ -197,7 +198,7 @@ ONE_CHILD = [Family("f1", ("c1",), ())]
         (None, [], None, r"families: expected an iterable"),
     ],
     ids=[
-        "priority-list", "quota-str", "quota-bool", "quota-float", "tuple-list", "daycare-list",
+        "priority-list", "quota-str", "quota-bool", "quota-float", "quota-negative", "tuple-list", "daycare-list",
         "preferences-none", "children-int", "priority-none", "family-str", "daycare-str",
         "meta-list", "families-none",
     ],
