@@ -15,9 +15,14 @@ over the singleton families; inserting a sibling family is that loop
 started from the family alone.
 
 SC, SDA and ESDA share one insertion driver.  The singleton DA phase
-ignores the insertion order pi, so it runs once per run; every attempt
-starts from a copy of its end state, logs its events again, and inserts
-the sibling families in order pi (id order in the first attempt).
+ignores the insertion order pi, so it runs once per run, and every
+attempt logs its events again before inserting the sibling families in
+order pi (id order in the first attempt).  A restart moves one family
+to an earlier position, so the new order shares a prefix with the old
+one and so does the matching state after it: the engine journals every
+proposal, and an attempt resumes from the shared prefix by undoing the
+journal to the state before its first differing position, logging the
+prefix's events again.
 
 * ``run_da``: children-proposing deferred acceptance over single-child
   families only; always succeeds.
@@ -142,7 +147,14 @@ class _Failed(Exception):
 
 class _Engine:
     """Mutable per-run matching state shared by all four procedures; it
-    starts with every child unmatched and every pointer at 0."""
+    starts with every child unmatched and every pointer at 0.
+
+    ``journal`` holds one ``(family, pointer, seated, evicted)`` entry per
+    ``propose`` call: the pointer it started from, the applications of
+    the tuple it seated (none if exhausted) and the evictions.  A
+    proposing family never holds a seat, so :meth:`undo` can take the
+    calls back exactly.
+    """
 
     def __init__(self, instance: Instance, trace: ExecutionTrace):
         self.inst = instance
@@ -153,12 +165,22 @@ class _Engine:
         self.roster = {d.id: set() for d in instance.daycares if d.id != DUMMY_ID}
         self.assign = dict.fromkeys(instance.family_of, DUMMY_ID)
         self.pos = {f.id: 0 for f in instance.families}
+        self.journal: list[tuple] = []
 
-    def restore(self, roster, assign, pos) -> None:
-        """Set the matching state to copies of the given one."""
-        self.roster = {d: set(seated) for d, seated in roster.items()}
-        self.assign = dict(assign)
-        self.pos = dict(pos)
+    def undo(self, mark: int) -> None:
+        """Take back the ``propose`` calls journaled after the first ``mark``,
+        newest first, restoring the state they started from."""
+        journal, roster, assign = self.journal, self.roster, self.assign
+        while len(journal) > mark:
+            fam, start, seated, evicted = journal.pop()
+            self.pos[fam.id] = start
+            for d, apps, _ in seated:
+                roster[d].difference_update(apps)
+            for c in fam.children:
+                assign[c] = DUMMY_ID
+            for c, d, _ in evicted:
+                roster[d].add(c)
+                assign[c] = d
 
     # -- the proposal step --------------------------------------------------
 
@@ -176,9 +198,11 @@ class _Engine:
         none if exhausted).  The pointer ends one past the accepted tuple,
         so a later re-proposal resumes with daycares not yet examined.
         ``apply_hook(fam, d)`` is called for every daycare of every tried
-        tuple before it is evaluated (the SC clash rule lives there).
+        tuple before it is evaluated (the SC clash rule lives there).  The
+        call is journaled.
         """
         applications = self.applications[fam.id]
+        start = self.pos[fam.id]
         while self.pos[fam.id] < len(applications):
             j = self.pos[fam.id]
             self.pos[fam.id] = j + 1
@@ -205,7 +229,9 @@ class _Engine:
                 self.trace.append(
                     "place", family=fam.id, tuple_index=j, placed=placed, evicted=evicted
                 )
+                self.journal.append((fam, start, applications[j], evicted))
                 return evicted
+        self.journal.append((fam, start, (), ()))
         self.trace.append("exhausted", family=fam.id)
         return []
 
@@ -278,17 +304,22 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
     """The insertion driver of SC, SDA and ESDA (``algo``): only SC has the
     application-clash hook and stops at a displaced sibling family, and
     only ESDA checks each insertion for an improvement."""
-    # every attempt starts from the DA end state and logs its events again
+    # the DA end state is journal mark 0; every attempt logs its events again
     engine = _Engine(instance, ExecutionTrace())
     engine.cascade(deque(instance.singleton_families))
+    engine.journal.clear()
     da_events = engine.trace.events
-    da_state = (engine.roster, engine.assign, engine.pos)
     trace = engine.trace = ExecutionTrace()
     apply_hook = _sc_clash_hook(trace) if algo == "sc" else None
     fs = instance.sibling_families
     fs_index = {fid: k for k, fid in enumerate(fs)}
     pi = tuple(range(len(fs)))
     attempted: set[tuple[int, ...]] = set()
+    # per inserted position of pi: (journal length, events logged since the
+    # attempt's first insert) before its insertion; prefix: the events a
+    # resumed attempt logs again for the positions it keeps
+    marks: list[tuple[int, int]] = []
+    prefix: list[dict] = []
 
     try:
         while True:
@@ -296,10 +327,12 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
             trace.append("attempt", index=len(attempted), pi=_one_based(pi), families=families)
             attempted.add(pi)
             trace.events.extend(da_events)
-            engine.restore(*da_state)
+            base = len(trace.events)
+            trace.events.extend(prefix)
 
-            for position, idx in enumerate(pi):
-                fam = instance.families_by_id[fs[idx]]
+            for position in range(len(marks), len(pi)):
+                marks.append((len(engine.journal), len(trace.events) - base))
+                fam = instance.families_by_id[fs[pi[position]]]
                 trace.append("insert", family=fam.id, position=position)
                 hit = engine.cascade(deque([fam.id]), apply_hook)
                 if hit is not None:
@@ -308,7 +341,7 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
                         reason = "sibling family displaced"
                         trace.append("clash", family=displaced, child=child, daycare=d, reason=reason)
                         raise _Failed
-                    new_pi = _reinsert(pi, idx, fs_index[displaced])
+                    new_pi = _reinsert(pi, pi[position], fs_index[displaced])
                     repeat = new_pi in attempted
                     trace.append(
                         "repeat" if repeat else "restart",
@@ -318,6 +351,11 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
                     )
                     if repeat:
                         raise _Failed
+                    # resume after the longest prefix pi and new_pi share
+                    keep = next(k for k, (a, b) in enumerate(zip(pi, new_pi)) if a != b)
+                    engine.undo(marks[keep][0])
+                    prefix = trace.events[base : base + marks[keep][1]]
+                    del marks[keep:]
                     pi = new_pi
                     break
                 if algo == "esda" and (j := engine.improvable(fam)) is not None:

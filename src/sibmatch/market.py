@@ -402,12 +402,13 @@ def _gen_daycares(phys, order, ages, cfg: MarketConfig, rng) -> list[Daycare]:
     fixed cost is paid once per block and a block decodes in one kernel
     call on 2-byte items.  One mask of the reference ages against each
     row's age keeps each unit's children, and the kept positions are
-    mapped to child ids once per block.  The draws equal one
-    ``mallows_sample`` call per unit, because a call of ``size`` k
-    consumes the generator as k single draws do.
+    mapped to child ids once per block, through one object array of the
+    ids.  The draws equal one ``mallows_sample`` call per unit, because a
+    call of ``size`` k consumes the generator as k single draws do.
     """
     n = len(order)
     age_of = np.array([ages[c] for c in order], dtype=np.int64)
+    ids = np.array(order, dtype=object)
     units = [(p, age) for p in phys for age in range(len(cfg.capacity_profile))]
     rows = max(1, _kernels.SHORT_ITEMS // n)
     daycares = [Daycare(id=DUMMY_ID, quota=None, priority=())]
@@ -415,13 +416,15 @@ def _gen_daycares(phys, order, ages, cfg: MarketConfig, rng) -> list[Daycare]:
         block = units[start : start + rows]
         draws = mallows_sample(np.arange(n), cfg.phi, rng, size=len(block))
         mask = age_of[draws] == np.array([age for _, age in block])[:, None]
-        kept = map(order.__getitem__, draws[mask].tolist())
+        kept = ids[draws[mask]].tolist()
+        end = 0
         for (p, age), size in zip(block, mask.sum(axis=1).tolist()):
+            end += size
             daycares.append(
                 Daycare(
                     id=_unit_id(p, age),
                     quota=cfg.capacity_profile[age],
-                    priority=tuple(itertools.islice(kept, size)),
+                    priority=tuple(kept[end - size : end]),
                 )
             )
     return daycares

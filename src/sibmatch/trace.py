@@ -34,8 +34,11 @@ both read chains from it.
 
 Events are read-only.  SDA and ESDA run the singleton DA phase once and
 log its events after every ``attempt`` event, so the DA-phase events of
-all attempts are the same dict objects; changing one would change every
-attempt.  :meth:`ExecutionTrace.from_jsonl` still returns distinct dicts.
+all attempts are the same dict objects.  An attempt after a restart
+resumes from the prefix its order shares with the previous one and logs
+that prefix's events again, so they too are the same dict objects as the
+previous attempt's; changing one would change every attempt that holds
+it.  :meth:`ExecutionTrace.from_jsonl` still returns distinct dicts.
 """
 
 from __future__ import annotations
@@ -87,7 +90,9 @@ class ExecutionTrace:
     """Append-only event log; see the module docstring for the format.
 
     An event may appear more than once in ``events`` (the DA-phase events
-    of every SDA/ESDA attempt), so treat events as read-only.
+    of every SDA/ESDA attempt, and the events of the order prefix a
+    restarted attempt shares with the previous one), so treat events as
+    read-only.
     """
 
     def __init__(self, events: list[dict] | None = None):

@@ -11,14 +11,21 @@ property loops: small markets with unacceptable children, dummy entries
 inside tuples, and repeated daycares, to stress the edge cases the
 golden markets do not cover.  ``oracle_market`` is market k of the
 criterion-3 set of generated small markets.
+
+``reference_inserting`` runs SC, SDA and ESDA without the resume from a
+shared order prefix: the reference the resuming runs are
+property-tested against.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
+from sibmatch import algorithms
 from sibmatch.market import MarketConfig, gen_instance
 from sibmatch.model import DUMMY_ID, Daycare, Family, Instance, Matching
+from sibmatch.trace import ExecutionTrace
 
 
 def make_instance(families, daycares, meta=None) -> Instance:
@@ -226,3 +233,47 @@ def oracle_market(k: int) -> Instance:
             seed=10_000 + k,
         )
     )
+
+
+def reference_inserting(instance: Instance, algo: str) -> algorithms.AlgorithmOutcome:
+    """SC, SDA or ESDA (``algo``) without resuming: every attempt runs a
+    fresh engine through the singleton DA phase, then inserts every
+    sibling family in order pi."""
+    trace = ExecutionTrace()
+    apply_hook = algorithms._sc_clash_hook(trace) if algo == "sc" else None
+    fs = instance.sibling_families
+    pi, attempted = tuple(range(len(fs))), set()
+    try:
+        while True:
+            pi_1 = [k + 1 for k in pi]
+            trace.append("attempt", index=len(attempted), pi=pi_1, families=[fs[k] for k in pi])
+            attempted.add(pi)
+            engine = algorithms._Engine(instance, trace)
+            engine.cascade(deque(instance.singleton_families))
+            for position, k in enumerate(pi):
+                fam = instance.families_by_id[fs[k]]
+                trace.append("insert", family=fam.id, position=position)
+                hit = engine.cascade(deque([fam.id]), apply_hook)
+                if hit is not None:
+                    displaced, (child, d, _) = hit
+                    if algo == "sc":
+                        reason = "sibling family displaced"
+                        trace.append("clash", family=displaced, child=child, daycare=d, reason=reason)
+                        raise algorithms._Failed
+                    new_pi = algorithms._reinsert(pi, k, fs.index(displaced))
+                    repeat = new_pi in attempted
+                    new_pi_1 = [x + 1 for x in new_pi]
+                    kind = "repeat" if repeat else "restart"
+                    trace.append(kind, inserting=fam.id, displaced=displaced, new_pi=new_pi_1)
+                    if repeat:
+                        raise algorithms._Failed
+                    pi = new_pi
+                    break
+                if algo == "esda" and (j := engine.improvable(fam)) is not None:
+                    trace.append("improvement", family=fam.id, tuple_index=j)
+                    raise algorithms._Failed
+            else:
+                trace.append("success")
+                return algorithms.AlgorithmOutcome("success", Matching(instance, engine.assign), None, trace)
+    except algorithms._Failed:
+        return algorithms.AlgorithmOutcome("failure", None, algorithms.classify_failure(trace), trace)

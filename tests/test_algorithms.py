@@ -20,6 +20,7 @@ from sibmatch.algorithms import (
     run_sc,
     run_sda,
 )
+from sibmatch.experiment import instance_seed
 from sibmatch.market import MarketConfig, gen_instance
 from sibmatch.model import DUMMY_ID, dump_matching, is_feasible, is_individually_rational
 from sibmatch.stability import is_stable
@@ -364,6 +365,50 @@ def test_every_attempt_starts_from_the_da_phase():
             assert all(head[1:] == heads[0][1:] for head in heads)
 
 
+# The criterion-2 markets (n=500, sweep base seed 0) whose ESDA and SDA
+# runs restart most often, as (phi, trial, attempts): the sha256 of their
+# trace JSONL, the same for both runners since all three succeed.
+PINNED_RESTARTS = [
+    (0.9, 7, 13, "5cd0521e0d78d1f07ee4b14691dc546b06bf57514fb9856b8100226a4cfd1b05"),
+    (0.7, 1, 10, "0e45df7413e17b091bc66653d97dc35fe4ad43b21487b2482b2d2e0904ffb914"),
+    (0.0, 11, 10, "ebdb8104717ae00f6a0bb4f4b1c1661cc08e845bbf1ac607e71d81f294248b8a"),
+]
+
+
+def criterion_2_market(phi, trial):
+    return gen_instance(MarketConfig(n=500, phi=phi, seed=instance_seed(0, 500, phi, trial)))
+
+
+def assert_attempts_resume_the_shared_prefix(trace) -> None:
+    """Every attempt after the first logs the previous attempt's events
+    again, as the same objects, up to the first ``insert`` at which the
+    two orders differ."""
+    attempts = trace.attempts()
+    for prev, cur in zip(attempts, attempts[1:]):
+        keep = next(k for k, (a, b) in enumerate(zip(prev[0]["pi"], cur[0]["pi"])) if a != b)
+        end = next(i for i, e in enumerate(prev) if e["kind"] == "insert" and e["position"] == keep)
+        assert all(a is b for a, b in zip(cur[1:end], prev[1:end]))
+        assert cur[end]["kind"] == "insert" and cur[end]["position"] == keep
+        assert cur[end]["family"] == cur[0]["families"][keep] != prev[end]["family"]
+
+
+@pytest.mark.parametrize("phi, trial, attempts, digest", PINNED_RESTARTS, ids=[f"phi{p[0]}-trial{p[1]}" for p in PINNED_RESTARTS])
+def test_long_restart_runs_are_pinned(phi, trial, attempts, digest):
+    inst = criterion_2_market(phi, trial)
+    for runner in (run_esda, run_sda):
+        out = runner(inst)
+        assert out.succeeded and len(out.pi_history) == attempts
+        assert hashlib.sha256(out.trace.to_jsonl().encode()).hexdigest() == digest
+
+
+def test_restarts_resume_the_shared_prefix():
+    markets = [small_market(seed, n=n) for n, seed in sorted({(n, seed) for n, seed, *_ in PINNED_RUNS})]
+    markets += [criterion_2_market(phi, trial) for phi, trial, *_ in PINNED_RESTARTS]
+    for inst in markets:
+        for runner in (run_esda, run_sda):
+            assert_attempts_resume_the_shared_prefix(runner(inst).trace)
+
+
 # Every failed ESDA and SDA run of three seeded sets: the 300 criterion-3
 # markets, 3,000 ``random_instance(random.Random(1), 12)`` markets and 60
 # generated markets (n in {100, 300}, phi in {0.5, 1.0}, seeds 0-14).  Per
@@ -405,7 +450,8 @@ def test_failure_classification_is_pinned(name, failures, type1, digest):
 
 
 # Generated markets restart far more often than ``random_instance`` ones
-# (about 13% of runs against 3%), which exercises the restored DA state.
+# (about 13% of runs against 3%), which exercises the resume from a
+# shared order prefix.
 MARKETS = st.builds(
     small_market, seed=st.integers(0, 10**6), n=st.integers(8, 30), phi=st.sampled_from((0.5, 1.0))
 ) | st.builds(lambda seed: helpers.random_instance(random.Random(seed)), st.integers(0, 2**32 - 1))
@@ -428,6 +474,15 @@ def test_sc_is_the_first_sda_attempt_cut_short(inst):
     assert sc[:-1] == sda[: len(sc) - 1]
     if sc[-1]["kind"] == "success":
         assert sc == sda
+
+
+@settings(max_examples=200, deadline=None)
+@given(inst=MARKETS)
+def test_resumed_runs_equal_the_reference(inst):
+    for algo, runner in (("sc", run_sc), ("sda", run_sda), ("esda", run_esda)):
+        out, ref = runner(inst), helpers.reference_inserting(inst, algo)
+        assert out.trace.to_jsonl() == ref.trace.to_jsonl()
+        assert (out.status, out.failure) == (ref.status, ref.failure)
 
 
 def reference_applications(fam, tup):
