@@ -14,7 +14,10 @@ eviction of a sibling-family child.  Deferred acceptance is that loop
 over the singleton families; inserting a sibling family is that loop
 started from the family alone.
 
-SC, SDA and ESDA share one insertion driver.  The singleton DA phase
+All four also share one insertion driver, and each returns an
+``AlgorithmOutcome``.  DA is the driver with no sibling family to
+insert, so its trace (``attempt``, the DA phase, ``success``) is the
+head every other run's attempts start with.  The singleton DA phase
 ignores the insertion order pi, so it runs once per run, and every
 attempt logs its events again before inserting the sibling families in
 order pi (id order in the first attempt).  A restart moves one family
@@ -118,14 +121,17 @@ class AlgorithmOutcome:
     """Result of one algorithm run: a matching or a typed failure, plus
     the full execution trace."""
 
-    status: str  # "success" | "failure"
     matching: Matching | None
     failure: FailureKind | None
     trace: ExecutionTrace
 
     @property
+    def status(self) -> str:
+        return "success" if self.failure is None else "failure"
+
+    @property
     def succeeded(self) -> bool:
-        return self.status == "success"
+        return self.failure is None
 
     @property
     def pi_history(self) -> list[tuple[int, ...]]:
@@ -275,14 +281,6 @@ def _one_based(pi: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in pi]
 
 
-def run_da(instance: Instance) -> Matching:
-    """Child-optimal stable matching of the restricted singleton market;
-    every sibling-family child stays unmatched."""
-    engine = _Engine(instance, ExecutionTrace())
-    engine.cascade(deque(instance.singleton_families))
-    return Matching(instance, engine.assign)
-
-
 def _sc_clash_hook(trace: ExecutionTrace):
     """SC's application rule as a ``propose`` hook: a singleton applying to
     a daycare any sibling-family child has applied to logs a ``clash`` and
@@ -301,9 +299,10 @@ def _sc_clash_hook(trace: ExecutionTrace):
 
 
 def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
-    """The insertion driver of SC, SDA and ESDA (``algo``): only SC has the
-    application-clash hook and stops at a displaced sibling family, and
-    only ESDA checks each insertion for an improvement."""
+    """The insertion driver of DA, SC, SDA and ESDA (``algo``): DA inserts
+    no family, only SC has the application-clash hook and stops at a
+    displaced sibling family, and only ESDA checks each insertion for an
+    improvement."""
     # the DA end state is journal mark 0; every attempt logs its events again
     engine = _Engine(instance, ExecutionTrace())
     engine.cascade(deque(instance.singleton_families))
@@ -311,7 +310,7 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
     da_events = engine.trace.events
     trace = engine.trace = ExecutionTrace()
     apply_hook = _sc_clash_hook(trace) if algo == "sc" else None
-    fs = instance.sibling_families
+    fs = () if algo == "da" else instance.sibling_families
     fs_index = {fid: k for k, fid in enumerate(fs)}
     pi = tuple(range(len(fs)))
     attempted: set[tuple[int, ...]] = set()
@@ -363,9 +362,17 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
                     raise _Failed
             else:
                 trace.append("success")
-                return AlgorithmOutcome("success", Matching(instance, engine.assign), None, trace)
+                return AlgorithmOutcome(Matching(instance, engine.assign), None, trace)
     except _Failed:
-        return AlgorithmOutcome("failure", None, classify_failure(trace), trace)
+        return AlgorithmOutcome(None, classify_failure(trace), trace)
+
+
+def run_da(instance: Instance) -> AlgorithmOutcome:
+    """Deferred acceptance over the singleton families: the insertion
+    driver with no sibling family to insert.  Always succeeds with the
+    child-optimal stable matching of the restricted singleton market;
+    every sibling-family child stays unmatched."""
+    return _run_inserting(instance, "da")
 
 
 def run_sc(instance: Instance) -> AlgorithmOutcome:

@@ -57,20 +57,14 @@ def _cmd_check(args) -> int:
     return 1
 
 
+RUNNERS = {"da": run_da, "sc": run_sc, "sda": run_sda, "esda": run_esda}
+
+
 def _cmd_solve(args) -> int:
-    instance = load_instance(_read(args.instance))
-    if args.algo == "da":
-        matching = run_da(instance)
-        out = {"status": "success", "matching": {"assignment": matching.assignment}}
-        trace = ExecutionTrace()
-    else:
-        runner = {"sc": run_sc, "sda": run_sda, "esda": run_esda}[args.algo]
-        outcome = runner(instance)
-        out = outcome.to_dict()
-        trace = outcome.trace
-    print(json.dumps(out, sort_keys=True))
+    outcome = RUNNERS[args.algo](load_instance(_read(args.instance)))
+    print(json.dumps(outcome.to_dict(), sort_keys=True))
     if args.trace:
-        _write(args.trace, trace.to_jsonl() + "\n")
+        _write(args.trace, outcome.trace.to_jsonl() + "\n")
     return 0
 
 
@@ -129,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run a matching algorithm")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algo", choices=("da", "sc", "sda", "esda"), required=True)
+    p.add_argument("--algo", choices=tuple(RUNNERS), required=True)
     p.add_argument("--trace", help="write the event log (JSON lines) here")
     p.set_defaults(func=_cmd_solve)
 

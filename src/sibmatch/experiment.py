@@ -165,15 +165,11 @@ def _run_algorithm(algo: str, instance: Instance, spec: SweepSpec, n: int):
     if exact:
         budget = SearchBudget(spec.exact_max_nodes, spec.exact_max_millis)
         outcome = find_stable(instance, algo.removeprefix("exact-"), budget)
-    elif algo == "da":
-        outcome = run_da(instance)
-    else:
-        outcome = {"sc": run_sc, "sda": run_sda, "esda": run_esda}[algo](instance)
+    else:  # built per call, so it calls whatever this module's names hold
+        outcome = {"da": run_da, "sc": run_sc, "sda": run_sda, "esda": run_esda}[algo](instance)
     elapsed = time.perf_counter() - start
     if exact:
         return outcome.found, elapsed, None if outcome.found else outcome.status
-    if algo == "da":
-        return True, elapsed, None
     if outcome.succeeded:
         mode = "abh" if algo == "sda" else "ours"
         if algo in ("sda", "esda") and not is_stable(instance, outcome.matching, mode):

@@ -19,6 +19,10 @@ without a stable leaf are cut, so the depth-first search reaches the
 same first stable leaf it would without the prune.  Complete leaves are
 checked with the full blocking scan.
 
+The search is one loop over explicit per-level stacks rather than a
+recursion, so its depth (one level per family) is not bounded by
+Python's recursion limit.
+
 This is the ground-truth oracle the heuristics are compared against.  It
 decides each criterion-3 market (n <= 14) in at most 110 nodes; a
 node/time budget guards against blowup on larger ones.
@@ -65,10 +69,6 @@ class FindStableResult:
     @property
     def found(self) -> bool:
         return self.status == "found"
-
-
-class _Budget(Exception):
-    pass
 
 
 class _Extended:
@@ -134,44 +134,47 @@ def find_stable(
                 later[d] = later.get(d, frozenset()).union(apps)
         extended.append(_Extended(rosters, later))
     extended.reverse()
-    nodes = 0
 
-    def search(i: int) -> Matching | None:
-        nonlocal nodes
+    # depth-first search as one loop over explicit per-level stacks:
+    # tried[i] counts the options of family i tried so far, seated[i] holds
+    # the applications of the one it is placed with (() when unplaced)
+    last = len(families)
+    tried = [0] * last
+    seated: list = [()] * last
+    nodes, i = 0, 0
+    while True:
         nodes += 1
-        if nodes > budget.max_nodes:
-            raise _Budget
-        if nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise _Budget
-        if i == len(families):
-            if scan_blocking(instance, current_rank, rosters, mode) is not None:
-                return None
-            assign = dict.fromkeys(instance.family_of, DUMMY_ID)
-            assign.update((c, d) for d, seated in rosters.items() for c in seated)
-            return Matching(instance, assign)
-        fam = families[i]
-        for rank, applications in options[i]:
+        if nodes > budget.max_nodes or (nodes % 1024 == 0 and time.monotonic() > deadline):
+            return FindStableResult("budget-exceeded", None, nodes)
+        if i == last:
+            if scan_blocking(instance, current_rank, rosters, mode) is None:
+                assign = dict.fromkeys(instance.family_of, DUMMY_ID)
+                assign.update((c, d) for d, children in rosters.items() for c in children)
+                return FindStableResult("found", Matching(instance, assign), nodes)
+            i -= 1
+        else:
+            tried[i] = 0
+        # place family i with its next option, backtracking past every
+        # level whose options are used up
+        while i >= 0:
+            for d, apps, _ in seated[i]:
+                rosters[d].difference_update(apps)
+            seated[i] = ()
+            if tried[i] == len(options[i]):
+                i -= 1
+                continue
+            rank, applications = options[i][tried[i]]
+            tried[i] += 1
             if any(len(rosters[d]) + len(apps) > quota[d] for d, apps, _ in applications):
                 continue
             for d, apps, _ in applications:
                 rosters[d].update(apps)
-            current_rank[fam.id] = rank
+            current_rank[families[i].id] = rank
+            seated[i] = applications
             # a family that blocks against the widest possible rosters
             # blocks at every leaf below: skip the subtree
-            if rank and blocking_coalition_of(instance, fam, rank, extended[i + 1], mode) is not None:
-                result = None
-            else:
-                result = search(i + 1)
-            for d, apps, _ in applications:
-                rosters[d].difference_update(apps)
-            if result is not None:
-                return result
-        return None
-
-    try:
-        found = search(0)
-    except _Budget:
-        return FindStableResult("budget-exceeded", None, nodes)
-    if found is not None:
-        return FindStableResult("found", found, nodes)
-    return FindStableResult("none-exists", None, nodes)
+            if not rank or blocking_coalition_of(instance, families[i], rank, extended[i + 1], mode) is None:
+                break
+        else:
+            return FindStableResult("none-exists", None, nodes)
+        i += 1

@@ -5,7 +5,8 @@ Events are plain dicts with a ``"kind"`` key.  Kinds and fields:
 * ``attempt``: a fresh pass begins (the state resets to all-unmatched).
   Fields: ``index`` (0-based attempt counter), ``pi`` (1-based positions
   into the id-sorted sibling-family list), ``families`` (the same order
-  as family ids).
+  as family ids).  DA inserts no family, so its one ``attempt`` has an
+  empty ``pi`` and ``families``.
 * ``insert``: a sibling family starts its iteration.  Fields: ``family``,
   ``position`` (0-based position within the current order).
 * ``reject``: a proposed tuple was refused.  Fields: ``family``,

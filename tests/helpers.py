@@ -274,6 +274,6 @@ def reference_inserting(instance: Instance, algo: str) -> algorithms.AlgorithmOu
                     raise algorithms._Failed
             else:
                 trace.append("success")
-                return algorithms.AlgorithmOutcome("success", Matching(instance, engine.assign), None, trace)
+                return algorithms.AlgorithmOutcome(Matching(instance, engine.assign), None, trace)
     except algorithms._Failed:
-        return algorithms.AlgorithmOutcome("failure", None, algorithms.classify_failure(trace), trace)
+        return algorithms.AlgorithmOutcome(None, algorithms.classify_failure(trace), trace)

@@ -46,14 +46,14 @@ def small_market(seed: int, n: int = 12, phi: float = 1.0):
 
 
 def test_da_phase_of_self_cycle_market(self_cycle_mkt):
-    m = run_da(self_cycle_mkt)
+    m = run_da(self_cycle_mkt).matching
     assert m["c3"] == "d1"
     assert m["c4"] == "d2"
     assert m["c1"] == DUMMY_ID and m["c2"] == DUMMY_ID
 
 
 def test_da_phase_of_sibling_cycle_market(sibling_cycle_mkt):
-    m = run_da(sibling_cycle_mkt)
+    m = run_da(sibling_cycle_mkt).matching
     assert m["c3"] == "d1"
 
 
@@ -64,7 +64,7 @@ def test_da_output_feasible_ir_stable_on_singleton_markets():
             MarketConfig(n=rng.randint(4, 16), phi=1.0, alpha=0.0, L=2,
                          daycare_ratio=0.6, seed=seed)
         )
-        m = run_da(inst)
+        m = run_da(inst).matching
         assert is_feasible(inst, m)
         assert is_individually_rational(inst, m)
         assert is_stable(inst, m, "ours")
@@ -163,7 +163,7 @@ def test_conservativity_without_sibling_families():
         inst = gen_instance(
             MarketConfig(n=10, phi=1.0, alpha=0.0, L=2, daycare_ratio=0.6, seed=seed)
         )
-        baseline = run_da(inst)
+        baseline = run_da(inst).matching
         for runner in (run_sc, run_sda, run_esda):
             out = runner(inst)
             assert out.succeeded
@@ -183,7 +183,7 @@ def test_success_outputs_feasible_ir_and_replayable():
     successes = 0
     for seed in range(40):
         inst = small_market(seed=seed)
-        for runner in (run_sda, run_esda, run_sc):
+        for runner in (run_da, run_sda, run_esda, run_sc):
             out = runner(inst)
             if not out.succeeded:
                 continue
@@ -347,7 +347,7 @@ def test_multi_attempt_runs_are_byte_identical(n, seed, algo, attempts, kind, tr
 
 @pytest.mark.parametrize("n, seed", sorted(PINNED_DA), ids=[f"n{n}-seed{seed}" for n, seed in sorted(PINNED_DA)])
 def test_da_matchings_are_byte_identical(n, seed):
-    assert sha16(dump_matching(run_da(small_market(seed, n=n)))) == PINNED_DA[n, seed]
+    assert sha16(dump_matching(run_da(small_market(seed, n=n)).matching)) == PINNED_DA[n, seed]
 
 
 def test_every_attempt_starts_from_the_da_phase():
@@ -360,7 +360,9 @@ def test_every_attempt_starts_from_the_da_phase():
             for events in attempts:
                 first_insert = next(k for k, e in enumerate(events) if e["kind"] == "insert")
                 heads.append(events[:first_insert])
-                assert replay_trace(inst, ExecutionTrace(heads[-1])) == da
+                assert replay_trace(inst, ExecutionTrace(heads[-1])) == da.matching
+                # DA's own trace without its attempt and success events
+                assert heads[-1][1:] == da.trace.events[1:-1]
             assert len(heads) >= 2
             assert all(head[1:] == heads[0][1:] for head in heads)
 
@@ -563,7 +565,7 @@ def test_outputs_are_pinned(name, same_daycare, two_daycares, digests):
         traces = {"esda": run_esda(inst).trace, "sda": run_sda(inst).trace, "sc": run_sc(inst).trace}
         for algo, trace in traces.items():
             hashes[algo].update(trace.to_jsonl().encode() + b"\n")
-        hashes["da"].update(dump_matching(run_da(inst)).encode() + b"\n")
+        hashes["da"].update(dump_matching(run_da(inst).matching).encode() + b"\n")
         for event in traces["esda"]:
             if event["kind"] == "place":
                 daycares = [d for _, d, _ in event["evicted"]]

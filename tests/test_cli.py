@@ -8,6 +8,7 @@ from sibmatch.algorithms import run_da
 from sibmatch.cli import main
 from sibmatch.market import MarketConfig, gen_instance
 from sibmatch.model import dump_instance, dump_matching, load_instance, Matching
+from sibmatch.trace import ExecutionTrace, replay_trace
 
 
 @pytest.fixture
@@ -68,9 +69,16 @@ def test_solve_da_with_trace(tmp_path, capsys):
     code = main(["solve", "--instance", str(inst_path), "--algo", "da", "--trace", str(trace_path)])
     assert code == 0
     out = json.loads(capsys.readouterr().out)
-    assert out == {"status": "success", "matching": {"assignment": run_da(inst).assignment}}
-    # DA logs no events
-    assert trace_path.read_text() == "\n"
+    matching = run_da(inst).matching
+    assert out == {
+        "status": "success", "matching": {"assignment": matching.assignment}, "permutation_history": [[]]
+    }
+    # DA logs its one attempt: an empty order, the DA phase, success
+    trace = ExecutionTrace.from_jsonl(trace_path.read_text())
+    assert trace.pi_history == [()]
+    assert replay_trace(inst, trace) == matching
+    assert main(["inspect", "--instance", str(inst_path), "--trace", str(trace_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["failure"] is None
 
 
 def test_gen_defaults_are_market_config_defaults(tmp_path):

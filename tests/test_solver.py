@@ -1,13 +1,15 @@
 import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
 import helpers
 from sibmatch.algorithms import run_esda
+from sibmatch.cli import main
 from sibmatch.market import MarketConfig, gen_instance
-from sibmatch.model import DUMMY_ID, Matching, dump_matching
+from sibmatch.model import DUMMY_ID, Matching, dump_instance, dump_matching
 from sibmatch.solver import SearchBudget, find_stable
 from sibmatch.stability import is_stable
 
@@ -84,6 +86,25 @@ def test_rotation_market_nodes(rotation_mkt):
     # 10 nodes without the prune; test_budget_exceeded's max_nodes=2
     # must stay below this
     assert find_stable(rotation_mkt, "ours").nodes == 8
+
+
+def test_search_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # each singleton family has a quota-1 daycare of its own, so a stable
+    # matching is trivial, but the search has one level per family
+    n = 1500
+    inst = helpers.make_instance(
+        [(f"f{k}", [f"c{k}"], [[f"d{k}"]]) for k in range(1, n + 1)],
+        [(f"d{k}", 1, [f"c{k}"]) for k in range(1, n + 1)],
+    )
+    result = find_stable(inst, "ours")
+    assert (result.status, result.nodes) == ("found", n + 1)
+    assert all(result.matching[f"c{k}"] == f"d{k}" for k in range(1, n + 1))
+    path = tmp_path / "wide.json"
+    path.write_text(dump_instance(inst))
+    assert main(["exists", "--instance", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "status": "found", "nodes": n + 1, "matching": {"assignment": result.matching.assignment}
+    }
 
 
 def _exists_by_enumeration(instance, mode) -> bool:
