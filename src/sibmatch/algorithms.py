@@ -152,14 +152,21 @@ class _Failed(Exception):
 
 
 class _Engine:
-    """Mutable per-run matching state shared by all four procedures; it
-    starts with every child unmatched and every pointer at 0.
+    """Mutable per-run matching state shared by all four procedures: what
+    the proposal step reads, and nothing else.  It starts with every
+    roster empty and every pointer at 0.
 
+    ``roster`` maps each non-dummy daycare to its seated children, the
+    one seat record; a run's matching is ``Matching.from_rosters`` of it.
+    ``pos`` maps each family to its pointer into its preference list.
     ``journal`` holds one ``(family, pointer, seated, evicted)`` entry per
     ``propose`` call: the pointer it started from, the applications of
     the tuple it seated (none if exhausted) and the evictions.  A
     proposing family never holds a seat, so :meth:`undo` can take the
-    calls back exactly.
+    calls back exactly.  ``sibling_applied`` is None except in SC, whose
+    driver sets it to the empty set after the DA phase: from then on it
+    holds every daycare a sibling family has applied to, and ``propose``
+    enforces SC's application rule with it.
     """
 
     def __init__(self, instance: Instance, trace: ExecutionTrace):
@@ -169,28 +176,24 @@ class _Engine:
         self.quota = instance.quota
         self.applications = instance.applications
         self.roster = {d.id: set() for d in instance.daycares if d.id != DUMMY_ID}
-        self.assign = dict.fromkeys(instance.family_of, DUMMY_ID)
         self.pos = {f.id: 0 for f in instance.families}
         self.journal: list[tuple] = []
+        self.sibling_applied: set[str] | None = None
 
     def undo(self, mark: int) -> None:
         """Take back the ``propose`` calls journaled after the first ``mark``,
-        newest first, restoring the state they started from."""
-        journal, roster, assign = self.journal, self.roster, self.assign
-        while len(journal) > mark:
-            fam, start, seated, evicted = journal.pop()
+        newest first, restoring the pointers and rosters they started from."""
+        while len(self.journal) > mark:
+            fam, start, seated, evicted = self.journal.pop()
             self.pos[fam.id] = start
             for d, apps, _ in seated:
-                roster[d].difference_update(apps)
-            for c in fam.children:
-                assign[c] = DUMMY_ID
+                self.roster[d].difference_update(apps)
             for c, d, _ in evicted:
-                roster[d].add(c)
-                assign[c] = d
+                self.roster[d].add(c)
 
     # -- the proposal step --------------------------------------------------
 
-    def propose(self, fam: Family, apply_hook=None) -> list:
+    def propose(self, fam: Family) -> list:
         """Walk the family's list from its pointer until placed or exhausted.
 
         A tuple runs the choice function of each of its distinct non-dummy
@@ -203,18 +206,28 @@ class _Engine:
         Returns the evictions (the ``place`` event's list, so read-only;
         none if exhausted).  The pointer ends one past the accepted tuple,
         so a later re-proposal resumes with daycares not yet examined.
-        ``apply_hook(fam, d)`` is called for every daycare of every tried
-        tuple before it is evaluated (the SC clash rule lives there).  The
-        call is journaled.
+        The call is journaled.
+
+        In SC (``sibling_applied`` set) every tried tuple first meets SC's
+        application rule, daycare by daycare: a sibling family's daycares
+        join ``sibling_applied``, and a singleton applying to one of them
+        logs a ``clash`` and raises ``_Failed``.
         """
         applications = self.applications[fam.id]
         start = self.pos[fam.id]
         while self.pos[fam.id] < len(applications):
             j = self.pos[fam.id]
             self.pos[fam.id] = j + 1
-            if apply_hook is not None:
+            if self.sibling_applied is not None:
                 for d, _, _ in applications[j]:
-                    apply_hook(fam, d)
+                    if fam.size > 1:
+                        self.sibling_applied.add(d)
+                    elif d in self.sibling_applied:
+                        reason = "application to a daycare a sibling family applied to"
+                        self.trace.append(
+                            "clash", family=fam.id, child=fam.children[0], daycare=d, reason=reason
+                        )
+                        raise _Failed
             evicted = []
             for d, apps, displacer in applications[j]:
                 refused, out = select(self.roster[d], apps, self.rank[d], self.quota[d])
@@ -227,11 +240,9 @@ class _Engine:
             else:
                 for c, d, _ in evicted:
                     self.roster[d].discard(c)
-                    self.assign[c] = DUMMY_ID
-                placed = dict(zip(fam.children, fam.preferences[j]))
-                self.assign.update(placed)
                 for d, apps, _ in applications[j]:
                     self.roster[d].update(apps)
+                placed = dict(zip(fam.children, fam.preferences[j]))
                 self.trace.append(
                     "place", family=fam.id, tuple_index=j, placed=placed, evicted=evicted
                 )
@@ -243,7 +254,7 @@ class _Engine:
 
     # -- phases -----------------------------------------------------------
 
-    def cascade(self, queue: deque, apply_hook=None):
+    def cascade(self, queue: deque):
         """The proposal loop: propose the queued families in FIFO order,
         queueing every displaced singleton family.
 
@@ -252,7 +263,7 @@ class _Engine:
         """
         families_by_id, family_of = self.inst.families_by_id, self.inst.family_of
         while queue:
-            for eviction in self.propose(families_by_id[queue.popleft()], apply_hook):
+            for eviction in self.propose(families_by_id[queue.popleft()]):
                 owner = family_of[eviction[0]]
                 if families_by_id[owner].size > 1:
                     return owner, eviction
@@ -262,9 +273,16 @@ class _Engine:
     def improvable(self, fam: Family) -> int | None:
         """First strictly better tuple the family could take with seat
         transfer, or None: the blocking test of mode ``"ours"`` restricted
-        to this family against the current rosters."""
-        current = fam.tuple_rank(tuple(self.assign[c] for c in fam.children))
-        witness = blocking_coalition_of(self.inst, fam, current, self.roster, "ours")
+        to this family against the current rosters.
+
+        Called right after the family's insertion, when the cascade has
+        evicted no sibling-family child, so a placed family holds the
+        tuple just before its pointer and that is its rank.  An exhausted
+        family holds no seat and was refused every tuple against these
+        same rosters (nothing moved afterwards), so the test finds none
+        at that rank either, as it would at the all-dummy rank.
+        """
+        witness = blocking_coalition_of(self.inst, fam, self.pos[fam.id] - 1, self.roster, "ours")
         return None if witness is None else witness.tuple_index
 
 
@@ -281,35 +299,18 @@ def _one_based(pi: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in pi]
 
 
-def _sc_clash_hook(trace: ExecutionTrace):
-    """SC's application rule as a ``propose`` hook: a singleton applying to
-    a daycare any sibling-family child has applied to logs a ``clash`` and
-    raises ``_Failed``."""
-    applied_fs: set[str] = set()
-
-    def apply_hook(fam: Family, d: str) -> None:
-        if fam.size > 1:
-            applied_fs.add(d)
-        elif d in applied_fs:
-            reason = "application to a daycare a sibling family applied to"
-            trace.append("clash", family=fam.id, child=fam.children[0], daycare=d, reason=reason)
-            raise _Failed
-
-    return apply_hook
-
-
 def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
     """The insertion driver of DA, SC, SDA and ESDA (``algo``): DA inserts
-    no family, only SC has the application-clash hook and stops at a
-    displaced sibling family, and only ESDA checks each insertion for an
-    improvement."""
+    no family, only SC applies its application rule (the engine's
+    ``sibling_applied``) and stops at a displaced sibling family, and only
+    ESDA checks each insertion for an improvement."""
     # the DA end state is journal mark 0; every attempt logs its events again
     engine = _Engine(instance, ExecutionTrace())
     engine.cascade(deque(instance.singleton_families))
     engine.journal.clear()
     da_events = engine.trace.events
     trace = engine.trace = ExecutionTrace()
-    apply_hook = _sc_clash_hook(trace) if algo == "sc" else None
+    engine.sibling_applied = set() if algo == "sc" else None
     fs = () if algo == "da" else instance.sibling_families
     fs_index = {fid: k for k, fid in enumerate(fs)}
     pi = tuple(range(len(fs)))
@@ -333,7 +334,7 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
                 marks.append((len(engine.journal), len(trace.events) - base))
                 fam = instance.families_by_id[fs[pi[position]]]
                 trace.append("insert", family=fam.id, position=position)
-                hit = engine.cascade(deque([fam.id]), apply_hook)
+                hit = engine.cascade(deque([fam.id]))
                 if hit is not None:
                     displaced, (child, d, _) = hit
                     if algo == "sc":
@@ -362,7 +363,7 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
                     raise _Failed
             else:
                 trace.append("success")
-                return AlgorithmOutcome(Matching(instance, engine.assign), None, trace)
+                return AlgorithmOutcome(Matching.from_rosters(instance, engine.roster), None, trace)
     except _Failed:
         return AlgorithmOutcome(None, classify_failure(trace), trace)
 

@@ -316,6 +316,15 @@ class Matching:
     def all_unmatched(cls, instance: Instance) -> "Matching":
         return cls(instance, dict.fromkeys(instance.family_of, DUMMY_ID))
 
+    @classmethod
+    def from_rosters(cls, instance: Instance, rosters: Mapping[str, Iterable[str]]) -> "Matching":
+        """The matching seating each roster's children at its daycare
+        (non-dummy daycare id -> children) and every other child at the
+        dummy: the one step from rosters to a matching."""
+        assign = dict.fromkeys(instance.family_of, DUMMY_ID)
+        assign.update((c, d) for d, children in rosters.items() for c in children)
+        return cls(instance, assign)
+
     @property
     def assignment(self) -> dict[str, str]:
         return dict(self._assignment)

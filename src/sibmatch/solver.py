@@ -118,7 +118,7 @@ def find_stable(
     # the search state is the rosters of the families placed so far and
     # their ranks; leaves are feasible and IR by construction, so the
     # blocking scan runs on the rosters directly, and only a stable leaf
-    # is turned into an assignment
+    # is turned into a matching
     rosters: dict[str, set[str]] = {
         d.id: set() for d in instance.daycares if d.id != DUMMY_ID
     }
@@ -148,9 +148,7 @@ def find_stable(
             return FindStableResult("budget-exceeded", None, nodes)
         if i == last:
             if scan_blocking(instance, current_rank, rosters, mode) is None:
-                assign = dict.fromkeys(instance.family_of, DUMMY_ID)
-                assign.update((c, d) for d, children in rosters.items() for c in children)
-                return FindStableResult("found", Matching(instance, assign), nodes)
+                return FindStableResult("found", Matching.from_rosters(instance, rosters), nodes)
             i -= 1
         else:
             tried[i] = 0

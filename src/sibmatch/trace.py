@@ -163,8 +163,9 @@ class Replay:
     other kinds.  ``assignment`` (every child to its daycare) and
     ``rosters`` (every real daycare to its seated children) hold the state
     after the event last yielded; each ``attempt`` event resets both.  A
-    move naming a child or daycare the instance lacks, or seating a child
-    at a daycare that does not rank it, raises :class:`MatchingError`.
+    move naming a child or daycare the instance lacks, moving a child from
+    a daycare it does not sit at, or seating a child at a daycare that
+    does not rank it, raises :class:`MatchingError`.
     """
 
     def __init__(self, instance: Instance, trace: ExecutionTrace):
@@ -182,6 +183,8 @@ class Replay:
         known = self.instance.daycares_by_id
         if child not in self.assignment or source not in known or target not in known:
             raise MatchingError(f"trace: move of {child!r} from {source!r} to {target!r} is unknown")
+        if self.assignment[child] != source:
+            raise MatchingError(f"trace: {child!r} is moved from {source!r}, where it is not seated")
         if not self.instance.is_acceptable(target, child):
             raise MatchingError(f"trace: {child!r} is seated at {target!r}, which does not rank it")
         self.assignment[child] = target

@@ -240,7 +240,6 @@ def reference_inserting(instance: Instance, algo: str) -> algorithms.AlgorithmOu
     fresh engine through the singleton DA phase, then inserts every
     sibling family in order pi."""
     trace = ExecutionTrace()
-    apply_hook = algorithms._sc_clash_hook(trace) if algo == "sc" else None
     fs = instance.sibling_families
     pi, attempted = tuple(range(len(fs))), set()
     try:
@@ -250,10 +249,12 @@ def reference_inserting(instance: Instance, algo: str) -> algorithms.AlgorithmOu
             attempted.add(pi)
             engine = algorithms._Engine(instance, trace)
             engine.cascade(deque(instance.singleton_families))
+            if algo == "sc":
+                engine.sibling_applied = set()
             for position, k in enumerate(pi):
                 fam = instance.families_by_id[fs[k]]
                 trace.append("insert", family=fam.id, position=position)
-                hit = engine.cascade(deque([fam.id]), apply_hook)
+                hit = engine.cascade(deque([fam.id]))
                 if hit is not None:
                     displaced, (child, d, _) = hit
                     if algo == "sc":
@@ -274,6 +275,7 @@ def reference_inserting(instance: Instance, algo: str) -> algorithms.AlgorithmOu
                     raise algorithms._Failed
             else:
                 trace.append("success")
-                return algorithms.AlgorithmOutcome(Matching(instance, engine.assign), None, trace)
+                matching = Matching.from_rosters(instance, engine.roster)
+                return algorithms.AlgorithmOutcome(matching, None, trace)
     except algorithms._Failed:
         return algorithms.AlgorithmOutcome(None, algorithms.classify_failure(trace), trace)

@@ -228,9 +228,20 @@ def test_replays_reject_a_foreign_trace(restart_mkt):
          "placed": {"c3": "d1", "c4": "d4"}, "evicted": []},
         {"kind": "success"},
     ])
+    # c1 sits at d1, but the second placement evicts it from d3
+    unseated = ExecutionTrace([
+        {"kind": "attempt", "index": 0, "pi": [1, 2, 3], "families": ["f1", "f2", "f3"]},
+        {"kind": "place", "family": "f1", "tuple_index": 0,
+         "placed": {"c1": "d1", "c2": "d2"}, "evicted": []},
+        {"kind": "place", "family": "f2", "tuple_index": 0,
+         "placed": {"c3": "d3", "c4": "d4"}, "evicted": [["c1", "d3", "c3"]]},
+        {"kind": "success"},
+    ])
     for check in (replay_trace, roster_monotonicity_violations, rank_lemma_violations):
         with pytest.raises(MatchingError, match="does not rank"):
             check(restart_mkt, unranked)
+        with pytest.raises(MatchingError, match="where it is not seated"):
+            check(restart_mkt, unseated)
 
 
 def test_rank_lemma_flags_a_vacated_seat_before_success():

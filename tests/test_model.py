@@ -276,6 +276,8 @@ def test_family_assignment_respects_sibling_order():
         for fam in inst.families:
             tup = m.family_tuple(fam)
             assert tup == tuple(m[c] for c in fam.children)
+        rosters = {d.id: m.roster(d.id) for d in inst.daycares if d.id != DUMMY_ID}
+        assert Matching.from_rosters(inst, rosters) == m
 
 
 def test_is_feasible_cases(rotation_mkt):
