@@ -44,10 +44,10 @@ prefix's events again.
   successful matching is stable.
 
 Failures are classified from the trace.  A restart that would evict the
-inserting family itself is type-1: its displacement chain, the one
-holding the final attempt's last eviction, is read off by
-``trace.displacement_chains`` (the walk the diagnostics use too) and is
-type-1-a if it ends at the child that started it, type-1-b if at a
+inserting family itself is type-1: its displacement chain is the record
+of ``trace.displacement_chains`` (the walk whose records the diagnostics
+report) that holds the final attempt's last eviction, and is type-1-a if
+its children end at the child that started it, type-1-b if at a
 sibling.  A repeated restart order is type-2.
 """
 
@@ -442,9 +442,9 @@ def classify_failure(trace: ExecutionTrace) -> FailureKind:
         raise ValueError("trace has no evictions in its final attempt")
     child, daycare, _ = evictions[-1]
     chain = next(
-        children
-        for children, daycares, _, _ in reversed(displacement_chains(events))
-        if children[-1] == child and daycares[-1] == daycare
+        tuple(ch["children"])
+        for ch in reversed(displacement_chains(events))
+        if ch["children"][-1] == child and ch["daycares"][-1] == daycare
     )
     if not any(
         e["kind"] == "place" and e["family"] == inserting and chain[0] in e["placed"]

@@ -1,21 +1,22 @@
 """Structural analysis of instances and execution traces.
 
 Ordering structure (domination, nesting, diameter) is measured against an
-explicit ordering, normally the generator's reference ordering; trace
+explicit ordering, normally the generator's reference ordering, through
+one table of each family's best and worst position in it.  Trace
 structure (displacement chains, cycles, the roster and priority-rank
-monotonicity invariants) is reconstructed from the event log.
+monotonicity invariants) is reconstructed from the event log.  A
+displacement chain is the one record that
+:func:`sibmatch.trace.displacement_chains` yields, which
+:func:`extract_chains` completes and the report prints.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from sibmatch.algorithms import classify_failure
 from sibmatch.model import DUMMY_ID, Family, Instance, MatchingError
 from sibmatch.trace import ExecutionTrace, Replay, displacement_chains
 
 __all__ = [
-    "Chain",
     "diameter",
     "dominates",
     "extract_chains",
@@ -27,38 +28,39 @@ __all__ = [
 ]
 
 
-def _positions(ordering) -> dict[str, int]:
-    return {c: i for i, c in enumerate(ordering)}
+def _spans(ordering, families) -> dict[str, tuple[int, int]]:
+    """Each family's best and worst position in the ordering, by family id.
 
-
-def _family_span(pos: dict[str, int], fam: Family) -> tuple[int, int]:
-    try:
-        places = [pos[c] for c in fam.children]
-    except KeyError as exc:
-        raise ValueError(f"child {exc.args[0]!r} missing from ordering") from exc
-    return min(places), max(places)
+    Raises ValueError unless the ordering is a list or tuple of distinct
+    child ids that holds every child of the families.
+    """
+    if not (
+        isinstance(ordering, (list, tuple))
+        and all(isinstance(c, str) for c in ordering)
+        and len(set(ordering)) == len(ordering)
+    ):
+        raise ValueError("expected a list of distinct child ids")
+    pos = {c: i for i, c in enumerate(ordering)}
+    spans = {}
+    for fam in families:
+        try:
+            places = [pos[c] for c in fam.children]
+        except KeyError as exc:
+            raise ValueError(f"child {exc.args[0]!r} missing from ordering") from exc
+        spans[fam.id] = min(places), max(places)
+    return spans
 
 
 def dominates(ordering, f: Family, g: Family) -> bool:
     """True iff f's best-ranked child outranks g's worst-ranked child."""
-    pos = _positions(ordering)
-    best_f, _ = _family_span(pos, f)
-    _, worst_g = _family_span(pos, g)
-    return best_f < worst_g
+    spans = _spans(ordering, (f, g))
+    return spans[f.id][0] < spans[g.id][1]
 
 
 def top_dominates(ordering, f: Family, g: Family) -> bool:
     """True iff f's best-ranked child outranks g's best-ranked child."""
-    pos = _positions(ordering)
-    best_f, _ = _family_span(pos, f)
-    best_g, _ = _family_span(pos, g)
-    return best_f < best_g
-
-
-def _spans(ordering, families) -> dict[str, tuple[int, int]]:
-    """Each family's best and worst position in the ordering, by family id."""
-    pos = _positions(ordering)
-    return {fam.id: _family_span(pos, fam) for fam in families}
+    spans = _spans(ordering, (f, g))
+    return spans[f.id][0] < spans[g.id][0]
 
 
 def _domination(spans: dict[str, tuple[int, int]]) -> set[tuple[str, str]]:
@@ -85,64 +87,36 @@ def diameter(ordering, f: Family) -> int:
 
     Equals the family size exactly when the children sit contiguously.
     """
-    pos = _positions(ordering)
-    best, worst = _family_span(pos, f)
+    best, worst = _spans(ordering, (f,))[f.id]
     return worst - best + 1
 
 
-@dataclass(frozen=True)
-class Chain:
-    """A maximal displacement chain.
-
-    ``children[0]`` applied and displaced ``children[1]``, who later
-    displaced ``children[2]``, and so on; ``daycares[k]`` is where
-    ``children[k+1]`` lost its seat.  A chain is a cycle when it returns
-    to its first child; a family cycle when it starts and ends in the
-    same family while touching at least two.
-    """
-
-    children: tuple[str, ...]
-    daycares: tuple[str, ...]
-    families: tuple[str, ...]
-    attempt_index: int
-    inserting_family: str | None
-
-    @property
-    def is_cycle(self) -> bool:
-        return (
-            len(self.children) >= 2
-            and self.children[0] == self.children[-1]
-            and any(c != self.children[0] for c in self.children)
-        )
-
-    @property
-    def is_family_cycle(self) -> bool:
-        return self.families[0] == self.families[-1] and len(set(self.families)) >= 2
-
-    def __len__(self) -> int:
-        return len(self.children)
-
-
-def extract_chains(instance: Instance, trace: ExecutionTrace) -> list[Chain]:
+def extract_chains(instance: Instance, trace: ExecutionTrace) -> list[dict]:
     """Every displacement chain of a trace, in creation order.
 
-    The chains are those of :func:`sibmatch.trace.displacement_chains`,
-    with the families of their children; chains never span attempts.  An
-    eviction naming a child or daycare the instance lacks raises
+    Each is a record of :func:`sibmatch.trace.displacement_chains` with
+    three more keys: ``length`` (its number of children, the first
+    included), ``cycle`` (it returns to its first child after touching
+    another) and ``family_cycle`` (it starts and ends in the same family
+    after touching at least two).  Chains never span attempts.  An eviction
+    naming a child or daycare the instance lacks raises
     :class:`MatchingError`.
     """
     family_of, known = instance.family_of, instance.daycares_by_id
-    out: list[Chain] = []
-    for children, daycares, attempt, inserting in displacement_chains(trace):
-        for displacer, child, daycare in zip(children, children[1:], daycares):
+    chains = displacement_chains(trace)
+    for chain in chains:
+        children = chain["children"]
+        for displacer, child, daycare in zip(children, children[1:], chain["daycares"]):
             if not (child in family_of and displacer in family_of and daycare in known):
                 raise MatchingError(
                     f"trace: eviction of {child!r} from {daycare!r} "
                     f"by {displacer!r} names an unknown child or daycare"
                 )
-        families = tuple(family_of[c] for c in children)
-        out.append(Chain(children, daycares, families, attempt, inserting))
-    return out
+        families = [family_of[c] for c in children]
+        chain["length"] = len(children)
+        chain["cycle"] = children[0] == children[-1] and len(set(children)) > 1
+        chain["family_cycle"] = families[0] == families[-1] and len(set(families)) > 1
+    return chains
 
 
 def roster_monotonicity_violations(instance: Instance, trace: ExecutionTrace) -> list[dict]:
@@ -208,8 +182,9 @@ def structure_report(instance: Instance, trace: ExecutionTrace | None = None) ->
     """Instance and trace structure as one JSON-ready report.
 
     Ordering-based sections need the generator's reference ordering in
-    ``instance.meta``; hand-written instances simply omit them.  A
-    ``meta.reference_ordering`` that is not a list of distinct strings
+    ``instance.meta``; hand-written instances simply omit them, and an
+    empty ordering yields none.  A ``meta.reference_ordering`` that is not
+    a list of distinct child ids, or that misses a sibling-family child,
     raises ValueError naming it.
     """
     report: dict = {
@@ -217,32 +192,20 @@ def structure_report(instance: Instance, trace: ExecutionTrace | None = None) ->
         "sibling_families": list(instance.sibling_families),
     }
     reference = instance.meta.get("reference_ordering")
-    if reference is not None and not (
-        isinstance(reference, list)
-        and all(isinstance(c, str) for c in reference)
-        and len(set(reference)) == len(reference)
-    ):
-        raise ValueError("meta.reference_ordering: expected a list of distinct child ids")
+    if reference is not None:
+        # an empty reference is valid and yields no ordering sections
+        families = (instance.families_by_id[f] for f in instance.sibling_families)
+        try:
+            spans = _spans(reference, families if reference else ())
+        except ValueError as exc:
+            raise ValueError(f"meta.reference_ordering: {exc}") from None
     if reference:
-        spans = _spans(reference, (instance.families_by_id[f] for f in instance.sibling_families))
         domination = _domination(spans)
         report["diameter"] = {f: worst - best + 1 for f, (best, worst) in spans.items()}
         report["domination"] = sorted(map(list, domination))
         report["nesting_pairs"] = sorted(sorted(p) for p in _nesting(domination))
     if trace is not None:
-        chains = extract_chains(instance, trace)
-        report["chains"] = [
-            {
-                "children": list(ch.children),
-                "daycares": list(ch.daycares),
-                "length": len(ch),
-                "cycle": ch.is_cycle,
-                "family_cycle": ch.is_family_cycle,
-                "attempt": ch.attempt_index,
-                "inserting_family": ch.inserting_family,
-            }
-            for ch in chains
-        ]
+        report["chains"] = extract_chains(instance, trace)
         terminal = trace.terminal
         if terminal is not None and terminal["kind"] != "success":
             report["failure"] = classify_failure(trace).to_dict()

@@ -30,8 +30,8 @@ Replaying the ``place`` events of the final attempt onto the all-unmatched
 assignment reproduces the final matching exactly; :class:`Replay`
 implements that and is property-tested against every algorithm.
 :func:`displacement_chains` is the one walk of the ``evicted`` fields
-into displacement chains; failure classification and the diagnostics
-both read chains from it.
+into displacement chains, one record each; failure classification and
+the diagnostics both read those records.
 
 Events are read-only.  SDA and ESDA run the singleton DA phase once and
 log its events after every ``attempt`` event, so the DA-phase events of
@@ -208,21 +208,22 @@ class Replay:
             yield event, moves
 
 
-def displacement_chains(events) -> list[tuple[tuple[str, ...], tuple[str, ...], int, str | None]]:
+def displacement_chains(events) -> list[dict]:
     """Every displacement chain of an event sequence, in creation order.
 
-    A chain is ``(children, daycares, attempt, inserting)``: the placement
-    of ``children[0]`` evicted ``children[1]`` from ``daycares[0]``, whose
-    next placement evicted ``children[2]`` from ``daycares[1]``, and so on.
+    A chain is the record ``{"children", "daycares", "attempt",
+    "inserting_family"}``: the placement of ``children[0]`` evicted
+    ``children[1]`` from ``daycares[0]``, whose next placement evicted
+    ``children[2]`` from ``daycares[1]``, and so on (both lists).
     ``attempt`` is the index of the enclosing ``attempt`` event (-1 before
-    any) and ``inserting`` the family of the last ``insert`` event before
-    the chain began (None in the DA phase).  A placement by a child evicted
-    earlier in the same attempt extends that child's chain; any other
-    placement starts one new chain per child it evicts.  Chains never span
-    attempts.
+    any) and ``inserting_family`` the family of the last ``insert`` event
+    before the chain began (None in the DA phase).  A placement by a child
+    evicted earlier in the same attempt extends that child's chain; any
+    other placement starts one new chain per child it evicts.  Chains
+    never span attempts.
     """
-    chains: list[tuple[list[str], list[str], int, str | None]] = []
-    open_chain: dict[str, tuple] = {}
+    chains: list[dict] = []
+    open_chain: dict[str, dict] = {}
     attempt, inserting = -1, None
     for event in events:
         kind = event["kind"]
@@ -235,12 +236,13 @@ def displacement_chains(events) -> list[tuple[tuple[str, ...], tuple[str, ...], 
             for child, daycare, displacer in event["evicted"]:
                 chain = open_chain.pop(displacer, None)
                 if chain is None:
-                    chain = ([displacer], [], attempt, inserting)
+                    chain = {"children": [displacer], "daycares": [], "attempt": attempt,
+                             "inserting_family": inserting}
                     chains.append(chain)
-                chain[0].append(child)
-                chain[1].append(daycare)
+                chain["children"].append(child)
+                chain["daycares"].append(daycare)
                 open_chain[child] = chain
-    return [(tuple(children), tuple(daycares), a, f) for children, daycares, a, f in chains]
+    return chains
 
 
 def replay_trace(instance: Instance, trace: ExecutionTrace) -> Matching:
