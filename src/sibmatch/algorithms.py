@@ -17,15 +17,16 @@ started from the family alone.
 All four also share one insertion driver, and each returns an
 ``AlgorithmOutcome``.  DA is the driver with no sibling family to
 insert, so its trace (``attempt``, the DA phase, ``success``) is the
-head every other run's attempts start with.  The singleton DA phase
-ignores the insertion order pi, so it runs once per run, and every
-attempt logs its events again before inserting the sibling families in
-order pi (id order in the first attempt).  A restart moves one family
-to an earlier position, so the new order shares a prefix with the old
-one and so does the matching state after it: the engine journals every
-proposal, and an attempt resumes from the shared prefix by undoing the
-journal to the state before its first differing position, logging the
-prefix's events again.
+head every other run's attempts start with.  The driver is one loop
+over the positions of the insertion order pi (id order in the first
+attempt).  The singleton DA phase ignores pi, so it runs once, right
+after the first ``attempt`` event.  A restart moves the inserting family
+directly before the displaced one, so the new order keeps pi up to the
+displaced family's position and so does the matching state: the engine
+journals every proposal, and the next attempt undoes the journal to the
+state before that position and resumes there.  It first logs the events
+of the positions it keeps again, headed by the DA phase's, so each
+attempt's events read as a pass from the all-unmatched state.
 
 * ``run_da``: children-proposing deferred acceptance over single-child
   families only; always succeeds.
@@ -286,15 +287,6 @@ class _Engine:
         return None if witness is None else witness.tuple_index
 
 
-def _reinsert(pi: tuple[int, ...], moving: int, before: int) -> tuple[int, ...]:
-    """New order with ``moving`` placed immediately before ``before``."""
-    if moving == before:
-        return tuple(pi)
-    rest = [x for x in pi if x != moving]
-    rest.insert(rest.index(before), moving)
-    return tuple(rest)
-
-
 def _one_based(pi: tuple[int, ...]) -> list[int]:
     return [i + 1 for i in pi]
 
@@ -303,67 +295,68 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
     """The insertion driver of DA, SC, SDA and ESDA (``algo``): DA inserts
     no family, only SC applies its application rule (the engine's
     ``sibling_applied``) and stops at a displaced sibling family, and only
-    ESDA checks each insertion for an improvement."""
-    # the DA end state is journal mark 0; every attempt logs its events again
-    engine = _Engine(instance, ExecutionTrace())
+    ESDA checks each insertion for an improvement.
+
+    The restart rule: when inserting ``pi[position]`` displaces the
+    sibling family f', the inserting family moves directly before f' and
+    the next attempt resumes at f''s position ``keep``.  Only a seated
+    family can be displaced, and an undo unseats every position from
+    ``keep`` on, so f' was inserted earlier in this attempt or is the
+    inserting family itself: ``keep <= position``, the new order is pi
+    with ``pi[position]`` moved to ``keep``, and it first differs from pi
+    at ``keep``.  A family that displaced itself leaves pi unchanged,
+    which is a repeat.
+    """
+    trace = ExecutionTrace()
+    engine = _Engine(instance, trace)
+    fs = () if algo == "da" else instance.sibling_families
+    pi = tuple(range(len(fs)))
+    attempted = {pi}
+    trace.append("attempt", index=0, pi=_one_based(pi), families=list(fs))
+    base = len(trace.events)
+    # the DA phase runs once: its end state is journal mark 0 and its
+    # events head the prefix that every resumed attempt logs again
     engine.cascade(deque(instance.singleton_families))
     engine.journal.clear()
-    da_events = engine.trace.events
-    trace = engine.trace = ExecutionTrace()
     engine.sibling_applied = set() if algo == "sc" else None
-    fs = () if algo == "da" else instance.sibling_families
-    fs_index = {fid: k for k, fid in enumerate(fs)}
-    pi = tuple(range(len(fs)))
-    attempted: set[tuple[int, ...]] = set()
-    # per inserted position of pi: (journal length, events logged since the
-    # attempt's first insert) before its insertion; prefix: the events a
-    # resumed attempt logs again for the positions it keeps
-    marks: list[tuple[int, int]] = []
-    prefix: list[dict] = []
+    # marks[k]: (journal length, events logged since the attempt event)
+    # before inserting pi[k]
+    marks, position = [], 0
 
     try:
-        while True:
-            families = [fs[k] for k in pi]
-            trace.append("attempt", index=len(attempted), pi=_one_based(pi), families=families)
-            attempted.add(pi)
-            trace.events.extend(da_events)
-            base = len(trace.events)
-            trace.events.extend(prefix)
-
-            for position in range(len(marks), len(pi)):
-                marks.append((len(engine.journal), len(trace.events) - base))
-                fam = instance.families_by_id[fs[pi[position]]]
-                trace.append("insert", family=fam.id, position=position)
-                hit = engine.cascade(deque([fam.id]))
-                if hit is not None:
-                    displaced, (child, d, _) = hit
-                    if algo == "sc":
-                        reason = "sibling family displaced"
-                        trace.append("clash", family=displaced, child=child, daycare=d, reason=reason)
-                        raise _Failed
-                    new_pi = _reinsert(pi, pi[position], fs_index[displaced])
-                    repeat = new_pi in attempted
-                    trace.append(
-                        "repeat" if repeat else "restart",
-                        inserting=fam.id,
-                        displaced=displaced,
-                        new_pi=_one_based(new_pi),
-                    )
-                    if repeat:
-                        raise _Failed
-                    # resume after the longest prefix pi and new_pi share
-                    keep = next(k for k, (a, b) in enumerate(zip(pi, new_pi)) if a != b)
-                    engine.undo(marks[keep][0])
-                    prefix = trace.events[base : base + marks[keep][1]]
-                    del marks[keep:]
-                    pi = new_pi
-                    break
-                if algo == "esda" and (j := engine.improvable(fam)) is not None:
-                    trace.append("improvement", family=fam.id, tuple_index=j)
+        while position < len(pi):
+            marks.append((len(engine.journal), len(trace.events) - base))
+            fam = instance.families_by_id[fs[pi[position]]]
+            trace.append("insert", family=fam.id, position=position)
+            hit = engine.cascade(deque([fam.id]))
+            if hit is not None:
+                displaced, (child, d, _) = hit
+                if algo == "sc":
+                    reason = "sibling family displaced"
+                    trace.append("clash", family=displaced, child=child, daycare=d, reason=reason)
                     raise _Failed
+                keep = pi.index(fs.index(displaced))
+                new_pi = (*pi[:keep], pi[position], *pi[keep:position], *pi[position + 1 :])
+                kind = "repeat" if new_pi in attempted else "restart"
+                trace.append(kind, inserting=fam.id, displaced=displaced, new_pi=_one_based(new_pi))
+                if kind == "repeat":
+                    raise _Failed
+                engine.undo(marks[keep][0])
+                prefix = trace.events[base : base + marks[keep][1]]
+                del marks[keep:]
+                pi, position = new_pi, keep
+                families = [fs[k] for k in pi]
+                trace.append("attempt", index=len(attempted), pi=_one_based(pi), families=families)
+                attempted.add(pi)
+                base = len(trace.events)
+                trace.events.extend(prefix)
+            elif algo == "esda" and (j := engine.improvable(fam)) is not None:
+                trace.append("improvement", family=fam.id, tuple_index=j)
+                raise _Failed
             else:
-                trace.append("success")
-                return AlgorithmOutcome(Matching.from_rosters(instance, engine.roster), None, trace)
+                position += 1
+        trace.append("success")
+        return AlgorithmOutcome(Matching.from_rosters(instance, engine.roster), None, trace)
     except _Failed:
         return AlgorithmOutcome(None, classify_failure(trace), trace)
 

@@ -293,6 +293,6 @@ def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
 def spec_from_json(text: str | bytes) -> SweepSpec:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid spec JSON: {exc}") from exc
     return SweepSpec.from_dict(data)

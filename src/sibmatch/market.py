@@ -372,15 +372,19 @@ def mallows_sample(reference, phi: float, rng, size: int | None = None):
 def kendall_tau(a: Sequence, b: Sequence) -> int:
     """Number of pairwise inversions between two orderings of one set.
 
-    Raises ValueError unless ``a`` and ``b`` hold the same distinct items.
-    The count is ``_kernels.count_inversions`` of b's positions in a's
-    order: O(n log n) comparisons and O(n²) bytes moved, a few ms at
-    3,000 items.
+    Raises ValueError unless ``a`` and ``b`` hold the same distinct,
+    hashable items.  The count is ``_kernels.count_inversions`` of b's
+    positions in a's order: O(n log n) comparisons and O(n²) bytes
+    moved, a few ms at 3,000 items.
     """
-    pos = {item: i for i, item in enumerate(b)}
+    try:
+        pos = {item: i for i, item in enumerate(b)}
+        covered = len(a) == len(b) and all(x in pos for x in a)
+    except TypeError:
+        raise ValueError("orderings must hold hashable items") from None
     if len(pos) != len(b):
         raise ValueError("ordering b contains duplicates")
-    if len(a) != len(b) or any(x not in pos for x in a):
+    if not covered:
         raise ValueError("orderings must cover the same element set")
     seq = [pos[x] for x in a]
     if len(set(seq)) != len(seq):

@@ -405,7 +405,7 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise InstanceError(f"$: invalid JSON ({exc})") from exc
     _expect(isinstance(data, Mapping), "$", "expected a JSON object")
     for key in ("families", "daycares"):
@@ -470,7 +470,7 @@ def load_matching(data: bytes | str | Mapping, instance: Instance) -> Matching:
     if isinstance(data, (bytes, str)):
         try:
             data = json.loads(data)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise MatchingError(f"$: invalid JSON ({exc})") from exc
     if not isinstance(data, Mapping) or "assignment" not in data:
         raise MatchingError("$: expected an object with key 'assignment'")

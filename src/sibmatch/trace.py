@@ -33,13 +33,12 @@ implements that and is property-tested against every algorithm.
 into displacement chains, one record each; failure classification and
 the diagnostics both read those records.
 
-Events are read-only.  SDA and ESDA run the singleton DA phase once and
-log its events after every ``attempt`` event, so the DA-phase events of
-all attempts are the same dict objects.  An attempt after a restart
-resumes from the prefix its order shares with the previous one and logs
-that prefix's events again, so they too are the same dict objects as the
-previous attempt's; changing one would change every attempt that holds
-it.  :meth:`ExecutionTrace.from_jsonl` still returns distinct dicts.
+Events are read-only.  An attempt after a restart resumes from the
+prefix its order shares with the previous one and logs that prefix's
+events again, the singleton DA phase's first, so they are the same dict
+objects as the previous attempt's; changing one would change every
+attempt that holds it.  :meth:`ExecutionTrace.from_jsonl` still returns
+distinct dicts.
 """
 
 from __future__ import annotations
@@ -90,10 +89,9 @@ def _check_event(event) -> None:
 class ExecutionTrace:
     """Append-only event log; see the module docstring for the format.
 
-    An event may appear more than once in ``events`` (the DA-phase events
-    of every SDA/ESDA attempt, and the events of the order prefix a
-    restarted attempt shares with the previous one), so treat events as
-    read-only.
+    An event may appear more than once in ``events`` (the events of the
+    order prefix, DA phase included, that a restarted attempt shares with
+    the previous one), so treat events as read-only.
     """
 
     def __init__(self, events: list[dict] | None = None):
@@ -146,7 +144,7 @@ class ExecutionTrace:
                 try:
                     events.append(json.loads(line))
                     _check_event(events[-1])
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ValueError(f"trace line {number}: {exc}") from None
         return cls(events)
 

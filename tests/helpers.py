@@ -261,7 +261,12 @@ def reference_inserting(instance: Instance, algo: str) -> algorithms.AlgorithmOu
                         reason = "sibling family displaced"
                         trace.append("clash", family=displaced, child=child, daycare=d, reason=reason)
                         raise algorithms._Failed
-                    new_pi = algorithms._reinsert(pi, k, fs.index(displaced))
+                    # the inserting family moves directly before the displaced one
+                    new_pi = pi
+                    if displaced != fam.id:
+                        rest = [x for x in pi if x != k]
+                        rest.insert(rest.index(fs.index(displaced)), k)
+                        new_pi = tuple(rest)
                     repeat = new_pi in attempted
                     new_pi_1 = [x + 1 for x in new_pi]
                     kind = "repeat" if repeat else "restart"

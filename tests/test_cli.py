@@ -7,7 +7,15 @@ from sibmatch import experiment
 from sibmatch.algorithms import run_da
 from sibmatch.cli import main
 from sibmatch.market import MarketConfig, gen_instance
-from sibmatch.model import dump_instance, dump_matching, load_instance, Matching
+from sibmatch.model import (
+    InstanceError,
+    Matching,
+    MatchingError,
+    dump_instance,
+    dump_matching,
+    load_instance,
+    load_matching,
+)
 from sibmatch.trace import ExecutionTrace, replay_trace
 
 
@@ -279,3 +287,29 @@ def test_bad_instance_reports_error(tmp_path, capsys):
     assert main(["solve", "--instance", str(path), "--algo", "da"]) == 2
     err = capsys.readouterr().err
     assert "families" in err
+
+
+DEEP_JSON = "[" * 1000 + "]" * 1000
+
+
+@pytest.mark.parametrize(
+    "load, error, message",
+    [
+        (load_instance, InstanceError, r"^\$: invalid JSON \("),
+        (lambda text: load_matching(text, helpers.seat_transfer_market()), MatchingError, r"^\$: invalid JSON \("),
+        (ExecutionTrace.from_jsonl, ValueError, "^trace line 1: "),
+        (experiment.spec_from_json, ValueError, "^invalid spec JSON: "),
+    ],
+    ids=["instance", "matching", "trace", "spec"],
+)
+def test_deeply_nested_json_raises_the_documented_error(load, error, message):
+    # a 2 KB file of nested lists raised a bare RecursionError
+    with pytest.raises(error, match=message):
+        load(DEEP_JSON)
+
+
+def test_deeply_nested_instance_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    assert main(["solve", "--instance", str(path), "--algo", "esda"]) == 2
+    assert capsys.readouterr().err.startswith("error: $: invalid JSON (")

@@ -169,6 +169,9 @@ def test_spec_validation():
         spec_from_json('{"sizes": [10], "phis": [0.5], "bogus": 1}')
     with pytest.raises(ValueError, match="invalid spec JSON"):
         spec_from_json("{nope")
+    # bytes that are not UTF-8 raised an unprefixed UnicodeDecodeError
+    with pytest.raises(ValueError, match="invalid spec JSON"):
+        spec_from_json(b'{"sizes": "\xff"}')
 
 
 @pytest.mark.parametrize(

@@ -289,6 +289,10 @@ def test_kendall_tau_mismatch():
         kendall_tau(["a", "a"], ["a", "a"])
     with pytest.raises(ValueError, match="ordering a contains duplicates"):
         kendall_tau(["a", "a"], ["a", "b"])
+    # unhashable items raised a bare TypeError
+    for a, b in (([[1]], [[1]]), (["a"], [["a"]]), ([["a"]], ["a"])):
+        with pytest.raises(ValueError, match="hashable"):
+            kendall_tau(a, b)
 
 
 def test_kendall_tau_symmetry_random():
@@ -557,6 +561,12 @@ def test_market_config_validation():
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
                 MarketConfig(n=10, phi=0.5, **{field: value})
+    for field in ("L", "sibling_pref_length", "joint_pref_length"):
+        with pytest.raises(ValueError, match="preference lengths"):
+            MarketConfig(n=10, phi=0.5, **{field: 0})
+    for profile in ((), (5, -1)):
+        with pytest.raises(ValueError, match="capacity_profile must be non-empty and non-negative"):
+            MarketConfig(n=10, phi=0.5, capacity_profile=profile)
 
 
 @pytest.mark.parametrize(

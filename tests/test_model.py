@@ -196,11 +196,13 @@ ONE_CHILD = [Family("f1", ("c1",), ())]
         (ONE_CHILD, ["d1"], None, r"daycares\[1\]: expected a Daycare"),
         (ONE_CHILD, [], [1], r"meta: expected a mapping"),
         (None, [], None, r"families: expected an iterable"),
+        (ONE_CHILD, [Daycare("d1", 1, ("c1", "c1"))], None, r"daycares\[d1\].priority: duplicate child 'c1'"),
+        ([Family("f1", (), ())], [], None, r"families\[f1\].children: empty"),
     ],
     ids=[
         "priority-list", "quota-str", "quota-bool", "quota-float", "quota-negative", "tuple-list", "daycare-list",
         "preferences-none", "children-int", "priority-none", "family-str", "daycare-str",
-        "meta-list", "families-none",
+        "meta-list", "families-none", "priority-duplicate", "children-empty",
     ],
 )
 def test_instance_rejects_wrong_field_types(families, daycares, meta, where):
