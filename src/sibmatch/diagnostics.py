@@ -4,16 +4,17 @@ Ordering structure (domination, nesting, diameter) is measured against an
 explicit ordering, normally the generator's reference ordering, through
 one table of each family's best and worst position in it.  Trace
 structure (displacement chains, cycles, the roster and priority-rank
-monotonicity invariants) is reconstructed from the event log.  A
-displacement chain is the one record that
-:func:`sibmatch.trace.displacement_chains` yields, which
+monotonicity invariants) is reconstructed from the event log, which every
+function here replays through :class:`sibmatch.trace.Replay`, the one check
+of a trace against its market.  A displacement chain is the one record
+that :func:`sibmatch.trace.displacement_chains` yields, which
 :func:`extract_chains` completes and the report prints.
 """
 
 from __future__ import annotations
 
 from sibmatch.algorithms import classify_failure
-from sibmatch.model import DUMMY_ID, Family, Instance, MatchingError
+from sibmatch.model import DUMMY_ID, Family, Instance
 from sibmatch.trace import ExecutionTrace, Replay, displacement_chains
 
 __all__ = [
@@ -98,21 +99,17 @@ def extract_chains(instance: Instance, trace: ExecutionTrace) -> list[dict]:
     three more keys: ``length`` (its number of children, the first
     included), ``cycle`` (it returns to its first child after touching
     another) and ``family_cycle`` (it starts and ends in the same family
-    after touching at least two).  Chains never span attempts.  An eviction
-    naming a child or daycare the instance lacks raises
-    :class:`MatchingError`.
+    after touching at least two).  Chains never span attempts.  The walk
+    reads the events through :class:`sibmatch.trace.Replay`, so every move
+    it rejects (an unknown child or daycare, an eviction from a daycare the
+    child does not sit at, a seat at a daycare that does not rank the
+    child, a displacer the event does not place) raises its
+    :class:`sibmatch.model.MatchingError`.
     """
-    family_of, known = instance.family_of, instance.daycares_by_id
-    chains = displacement_chains(trace)
+    chains = displacement_chains(event for event, _ in Replay(instance, trace))
     for chain in chains:
         children = chain["children"]
-        for displacer, child, daycare in zip(children, children[1:], chain["daycares"]):
-            if not (child in family_of and displacer in family_of and daycare in known):
-                raise MatchingError(
-                    f"trace: eviction of {child!r} from {daycare!r} "
-                    f"by {displacer!r} names an unknown child or daycare"
-                )
-        families = [family_of[c] for c in children]
+        families = [instance.family_of[c] for c in children]
         chain["length"] = len(children)
         chain["cycle"] = children[0] == children[-1] and len(set(children)) > 1
         chain["family_cycle"] = families[0] == families[-1] and len(set(families)) > 1
@@ -185,7 +182,9 @@ def structure_report(instance: Instance, trace: ExecutionTrace | None = None) ->
     ``instance.meta``; hand-written instances simply omit them, and an
     empty ordering yields none.  A ``meta.reference_ordering`` that is not
     a list of distinct child ids, or that misses a sibling-family child,
-    raises ValueError naming it.
+    raises ValueError naming it.  The trace is checked once, by the replay
+    in :func:`extract_chains`: a move that :class:`sibmatch.trace.Replay`
+    rejects raises its :class:`sibmatch.model.MatchingError`.
     """
     report: dict = {
         "children": instance.num_children,

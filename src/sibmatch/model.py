@@ -81,10 +81,6 @@ class Family:
             n = len(self.preferences)
             return n if tuple(tup) == self.all_dummy else n + 1
 
-    def prefers(self, a: tuple[str, ...], b: tuple[str, ...]) -> bool:
-        """True if this family strictly prefers tuple ``a`` to tuple ``b``."""
-        return self.tuple_rank(a) < self.tuple_rank(b)
-
 
 @dataclass(frozen=True)
 class Daycare:
@@ -126,17 +122,19 @@ class Instance:
 
     Construction checks every model invariant and the type of every
     container, id, quota, priority entry and preference tuple (raising
-    :class:`InstanceError` naming the path), and precomputes the lookup
-    tables used by the stability predicates, the solver and the
-    algorithms: family and daycare indexes, ``family_of`` (every child to
-    its family id, in family then sibling order: the one table of the
-    market's children), per-daycare priority rank maps, ``quota`` (daycare
-    id to quota), and ``applications[family_id][j]``, the family's
-    ``j``-th preference tuple grouped by daycare: one ``(daycare,
-    applicants, displacer)`` triple per distinct non-dummy daycare, in
-    first-occurrence order, where the displacer is the first applicant in
-    sibling order.  Instances are immutable by convention; all contained
-    collections are tuples.
+    :class:`InstanceError` naming the path): one loop checks the families'
+    and daycares' types and ids, one pass per family checks its children
+    and compiles its tuples, one pass per daycare checks it and builds its
+    rank table.  It precomputes the lookup tables used by the stability
+    predicates, the solver and the algorithms: family and daycare indexes,
+    ``family_of`` (every child to its family id, in family then sibling
+    order: the one table of the market's children), per-daycare priority
+    rank maps, ``quota`` (daycare id to quota), and
+    ``applications[family_id][j]``, the family's ``j``-th preference tuple
+    grouped by daycare: one ``(daycare, applicants, displacer)`` triple
+    per distinct non-dummy daycare, in first-occurrence order, where the
+    displacer is the first applicant in sibling order.  Instances are
+    immutable by convention; all contained collections are tuples.
     """
 
     def __init__(
@@ -155,29 +153,25 @@ class Instance:
         self.meta: dict = dict(meta) if meta else {}
 
         self.families_by_id: dict[str, Family] = {}
-        for k, fam in enumerate(self.families):
-            if not isinstance(fam, Family):
-                raise InstanceError(f"families[{k}]: expected a Family")
-            if not isinstance(fam.id, str):
-                raise InstanceError(f"families[{k}].id: expected a string")
-            if fam.id in self.families_by_id:
-                raise InstanceError(f"families: duplicate family id {fam.id!r}")
-            self.families_by_id[fam.id] = fam
-
         self.daycares_by_id: dict[str, Daycare] = {}
-        for k, dc in enumerate(self.daycares):
-            if not isinstance(dc, Daycare):
-                raise InstanceError(f"daycares[{k}]: expected a Daycare")
-            if not isinstance(dc.id, str):
-                raise InstanceError(f"daycares[{k}].id: expected a string")
-            if dc.id in self.daycares_by_id:
-                raise InstanceError(f"daycares: duplicate daycare id {dc.id!r}")
-            self.daycares_by_id[dc.id] = dc
+        for name, items, kind, index in (
+            ("families", self.families, Family, self.families_by_id),
+            ("daycares", self.daycares, Daycare, self.daycares_by_id),
+        ):
+            for k, item in enumerate(items):
+                if not isinstance(item, kind):
+                    raise InstanceError(f"{name}[{k}]: expected a {kind.__name__}")
+                if not isinstance(item.id, str):
+                    raise InstanceError(f"{name}[{k}].id: expected a string")
+                if item.id in index:
+                    raise InstanceError(f"{name}: duplicate {kind.__name__.lower()} id {item.id!r}")
+                index[item.id] = item
 
         if DUMMY_ID not in self.daycares_by_id:
             raise InstanceError(f"daycares: missing dummy daycare {DUMMY_ID!r}")
 
         self.family_of: dict[str, str] = {}
+        self.applications: dict[str, tuple[tuple, ...]] = {}
         for fam in self.families:
             for attr in ("children", "preferences"):
                 if not isinstance(getattr(fam, attr), tuple):
@@ -193,9 +187,6 @@ class Instance:
                         "already belongs to another family"
                     )
                 self.family_of[child] = fam.id
-
-        self.applications: dict[str, tuple[tuple, ...]] = {}
-        for fam in self.families:
             seen: set[tuple[str, ...]] = set()
             # one frozenset per distinct applicant group of the family, keyed
             # by the child for a lone applicant and by itself otherwise
@@ -267,10 +258,6 @@ class Instance:
     @property
     def num_children(self) -> int:
         return len(self.family_of)
-
-    @property
-    def dummy(self) -> Daycare:
-        return self.daycares_by_id[DUMMY_ID]
 
     def is_acceptable(self, daycare_id: str, child: str) -> bool:
         """True if the daycare ranks the child (the dummy accepts all)."""

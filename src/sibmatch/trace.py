@@ -160,10 +160,12 @@ class Replay:
     event made (its evictions to the dummy, then its placements), none for
     other kinds.  ``assignment`` (every child to its daycare) and
     ``rosters`` (every real daycare to its seated children) hold the state
-    after the event last yielded; each ``attempt`` event resets both.  A
-    move naming a child or daycare the instance lacks, moving a child from
-    a daycare it does not sit at, or seating a child at a daycare that
-    does not rank it, raises :class:`MatchingError`.
+    after the event last yielded; each ``attempt`` event resets both.
+    This is the one check of a trace against its market: a move naming a
+    child or daycare the instance lacks, moving a child from a daycare it
+    does not sit at, or seating a child at a daycare that does not rank
+    it, and an eviction whose displacer the same ``place`` event does not
+    place, each raise :class:`MatchingError`.
     """
 
     def __init__(self, instance: Instance, trace: ExecutionTrace):
@@ -198,8 +200,13 @@ class Replay:
             if event["kind"] == "attempt":
                 self._reset()
             elif event["kind"] == "place":
-                for child, daycare, _ in event["evicted"]:
+                for child, daycare, displacer in event["evicted"]:
                     moves.append(self._move(child, daycare, DUMMY_ID))
+                    if displacer not in event["placed"]:
+                        raise MatchingError(
+                            f"trace: {child!r} is evicted by {displacer!r}, "
+                            "which the event does not place"
+                        )
                 for child, daycare in event["placed"].items():
                     source = self.assignment.get(child, DUMMY_ID)
                     moves.append(self._move(child, source, daycare))

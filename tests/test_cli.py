@@ -1,3 +1,4 @@
+import io
 import json
 
 import pytest
@@ -121,14 +122,19 @@ def test_gen_rejects_more_daycares_than_children(tmp_path, capsys):
     assert not out_path.exists()
 
 
-def test_solve_failure_payload(tmp_path, capsys):
+def test_solve_failure_payload(tmp_path, capsys, monkeypatch):
     inst_path = tmp_path / "self_cycle_mkt.json"
     inst_path.write_text(dump_instance(helpers.self_cycle_market()))
     assert main(["solve", "--instance", str(inst_path), "--algo", "esda"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    text = capsys.readouterr().out
+    out = json.loads(text)
     assert out["status"] == "failure"
     assert out["failure"]["kind"] == "type-1a"
     assert out["failure"]["chain"] == ["c1", "c3", "c4", "c1"]
+    # "-" reads the instance from stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(inst_path.read_text()))
+    assert main(["solve", "--instance", "-", "--algo", "esda"]) == 0
+    assert capsys.readouterr().out == text
 
 
 def test_exists_subcommand(tmp_path, capsys):
@@ -176,6 +182,23 @@ def test_inspect_rejects_a_malformed_trace(tmp_path, capsys, seat_market_file, l
     trace_path.write_text('{"kind": "success"}\n' + line + "\n")
     assert main(["inspect", "--instance", str(seat_market_file), "--trace", str(trace_path)]) == 2
     assert capsys.readouterr().err.startswith("error: trace line 2: ")
+
+
+def test_inspect_rejects_a_move_no_run_could_make(tmp_path, capsys):
+    # the second placement evicts c1 from d3, but c1 sits at d1
+    inst_path = tmp_path / "restart_mkt.json"
+    inst_path.write_text(dump_instance(helpers.restart_success_market()))
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text(ExecutionTrace([
+        {"kind": "attempt", "index": 0, "pi": [1, 2, 3], "families": ["f1", "f2", "f3"]},
+        {"kind": "place", "family": "f1", "tuple_index": 0,
+         "placed": {"c1": "d1", "c2": "d2"}, "evicted": []},
+        {"kind": "place", "family": "f2", "tuple_index": 0,
+         "placed": {"c3": "d3", "c4": "d4"}, "evicted": [["c1", "d3", "c3"]]},
+        {"kind": "success"},
+    ]).to_jsonl())
+    assert main(["inspect", "--instance", str(inst_path), "--trace", str(trace_path)]) == 2
+    assert capsys.readouterr().err == "error: trace: 'c1' is moved from 'd3', where it is not seated\n"
 
 
 @pytest.mark.parametrize("reference", [5, [["c1"], "c2"], "c1c2", {"c1": 0}, ["c1", "c2", "c1"]])

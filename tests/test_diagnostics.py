@@ -286,11 +286,21 @@ def test_replays_reject_a_foreign_trace(restart_mkt):
          "placed": {"c3": "d3", "c4": "d4"}, "evicted": [["c1", "d3", "c3"]]},
         {"kind": "success"},
     ])
-    for check in (replay_trace, roster_monotonicity_violations, rank_lemma_violations):
+    # c1 sits at d1, but the placement that evicts it does not seat c9
+    unplaced = ExecutionTrace(unseated.events[:2] + [
+        {"kind": "place", "family": "f2", "tuple_index": 0,
+         "placed": {"c3": "d3", "c4": "d4"}, "evicted": [["c1", "d1", "c9"]]},
+        {"kind": "success"},
+    ])
+    checks = (replay_trace, roster_monotonicity_violations, rank_lemma_violations,
+              extract_chains, structure_report)
+    for check in checks:
         with pytest.raises(MatchingError, match="does not rank"):
             check(restart_mkt, unranked)
         with pytest.raises(MatchingError, match="where it is not seated"):
             check(restart_mkt, unseated)
+        with pytest.raises(MatchingError, match="'c1' is evicted by 'c9', which the event does not place"):
+            check(restart_mkt, unplaced)
 
 
 def test_rank_lemma_flags_a_vacated_seat_before_success():

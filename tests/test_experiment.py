@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from sibmatch import experiment
 from sibmatch.experiment import (
     ALGORITHMS,
@@ -154,6 +155,14 @@ def test_harness_errors_keep_their_text(monkeypatch):
     # the error texts stay out of both report formats
     assert render_report(report, "csv") == csv
     assert render_report(report, "markdown") == markdown
+
+
+def test_an_unstable_heuristic_success_is_a_stability_violation(monkeypatch):
+    # SDA's success on this market is ABH-stable only, so it must not pass as ESDA's
+    market = helpers.weak_only_market()
+    monkeypatch.setattr(experiment, "run_esda", experiment.run_sda)
+    success, _, failure = experiment._run_algorithm("esda", market, small_spec(), 4)
+    assert (success, failure) == (False, "stability-violation")
 
 
 def test_spec_validation():

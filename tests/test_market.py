@@ -552,6 +552,9 @@ def test_market_config_validation():
         MarketConfig(n=500, phi=0.5, K=2)  # three-sibling families need K >= 3
     with pytest.raises(ValueError, match="two-sibling families but K < 2"):
         MarketConfig(n=10, phi=0.5, alpha=0.5, K=1)  # two two-sibling families, no three
+    # only float rounding makes the sibling children outnumber n
+    with pytest.raises(ValueError, match=r"sibling children \(100000000000000001024\) exceed n"):
+        MarketConfig(n=10**20 + 7, phi=0.5, alpha=1.0)
     # at most one physical daycare per child: 10 only children, ratio up to 1
     assert MarketConfig(n=10, phi=0.5, alpha=0.0, daycare_ratio=1.0).daycare_ratio == 1.0
     with pytest.raises(ValueError, match="daycare_ratio"):

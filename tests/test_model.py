@@ -60,7 +60,7 @@ def test_load_rotation_market_counts():
     assert len(inst.families) == 3
     assert len(inst.daycares) == 4
     assert all(d.quota == 1 for d in inst.daycares if d.id != DUMMY_ID)
-    assert inst.dummy.unlimited
+    assert inst.daycares_by_id[DUMMY_ID].unlimited
 
 
 def test_load_minimal_instance():
@@ -333,8 +333,6 @@ def test_tuple_rank_ordering(seat_transfer_mkt):
     assert fam.tuple_rank(("d2", "d0")) == 1
     assert fam.tuple_rank(("d0", "d0")) == 2  # all-dummy after listed
     assert fam.tuple_rank(("d2", "d1")) == 3  # unlisted after all-dummy
-    assert fam.prefers(("d1", "d2"), ("d2", "d0"))
-    assert fam.prefers(("d0", "d0"), ("d2", "d1"))
 
 
 def test_instance_to_dict_stable():
