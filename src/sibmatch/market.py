@@ -331,6 +331,21 @@ def _displacements(n: int, phi: float, rng, count: int) -> np.ndarray:
     return np.clip(v, 0, i, out=v)
 
 
+def _mallows_positions(n: int, phi: float, rng, count: int) -> np.ndarray:
+    """``count`` Mallows draws of the positions ``0..n-1``, one row each.
+
+    ``phi=0`` gives the identity rows without touching ``rng``.  The rows
+    are decoded in one kernel call, laid end to end: each v_i is at most
+    i, so row r fills its own block ``r*n .. r*n+n-1``.
+    """
+    if phi == 0.0:
+        return np.broadcast_to(np.arange(n), (count, n))
+    rows = _displacements(n, phi, rng, count)
+    # Looked up on the module at call time so a tracer can wrap it.
+    flat = _kernels.decode_insertions(rows.ravel())
+    return flat.reshape(count, n) - n * np.arange(count)[:, None]
+
+
 def mallows_sample(reference, phi: float, rng, size: int | None = None):
     """Exact Mallows draw around a reference ordering.
 
@@ -344,23 +359,15 @@ def mallows_sample(reference, phi: float, rng, size: int | None = None):
     follows numpy's convention: ``None`` returns one draw, an integer
     ``k`` returns ``k`` draws (a ``(k, n)`` array, or a list of ``k``
     lists) equal to ``k`` successive single draws from the same
-    generator, and leaves the generator in the same state.  All ``k`` draws are decoded in one kernel call on their
-    displacement rows laid end to end: each v_i is at most i, so row r
-    fills its own block ``r*n .. r*n+n-1``.
+    generator, and leaves the generator in the same state.  The draws are
+    the reference's items at the positions :func:`_mallows_positions`
+    draws.
     """
     if not (_is("float", phi) and 0.0 <= phi <= 1.0):
         raise ValueError("phi must lie in [0, 1]")
     if size is not None and not (_is("int", size) and size >= 0):
         raise ValueError("size must be None or an integer >= 0")
-    n = len(reference)
-    count = 1 if size is None else size
-    if phi == 0.0:
-        positions = np.broadcast_to(np.arange(n), (count, n))
-    else:
-        rows = _displacements(n, phi, rng, count)
-        # Looked up on the module at call time so a tracer can wrap it.
-        flat = _kernels.decode_insertions(rows.ravel())
-        positions = flat.reshape(count, n) - n * np.arange(count)[:, None]
+    positions = _mallows_positions(len(reference), phi, rng, 1 if size is None else size)
     if isinstance(reference, np.ndarray):
         draws = reference[positions]
     else:
@@ -402,13 +409,13 @@ def _gen_daycares(phys, order, ages, cfg: MarketConfig, rng) -> list[Daycare]:
     Each unit's priority is a Mallows draw of positions in ``order``, the
     reference ordering as a tuple of child ids, filtered to the unit's age
     group.  The units are drawn in blocks of ``_kernels.SHORT_ITEMS // n``
-    rows (at least one), one ``mallows_sample`` call per block, so numpy's
-    fixed cost is paid once per block and a block decodes in one kernel
-    call on 2-byte items.  One mask of the reference ages against each
-    row's age keeps each unit's children, and the kept positions are
+    rows (at least one), one ``_mallows_positions`` call per block, so
+    numpy's fixed cost is paid once per block and a block decodes in one
+    kernel call on 2-byte items.  One mask of the reference ages against
+    each row's age keeps each unit's children, and the kept positions are
     mapped to child ids once per block, through one object array of the
     ids.  The draws equal one ``mallows_sample`` call per unit, because a
-    call of ``size`` k consumes the generator as k single draws do.
+    call of ``count`` k consumes the generator as k single draws do.
     """
     n = len(order)
     age_of = np.array([ages[c] for c in order], dtype=np.int64)
@@ -418,7 +425,7 @@ def _gen_daycares(phys, order, ages, cfg: MarketConfig, rng) -> list[Daycare]:
     daycares = [Daycare(id=DUMMY_ID, quota=None, priority=())]
     for start in range(0, len(units), rows):
         block = units[start : start + rows]
-        draws = mallows_sample(np.arange(n), cfg.phi, rng, size=len(block))
+        draws = _mallows_positions(n, cfg.phi, rng, len(block))
         mask = age_of[draws] == np.array([age for _, age in block])[:, None]
         kept = ids[draws[mask]].tolist()
         end = 0

@@ -128,13 +128,18 @@ class Instance:
     rank table.  It precomputes the lookup tables used by the stability
     predicates, the solver and the algorithms: family and daycare indexes,
     ``family_of`` (every child to its family id, in family then sibling
-    order: the one table of the market's children), per-daycare priority
-    rank maps, ``quota`` (daycare id to quota), and
-    ``applications[family_id][j]``, the family's ``j``-th preference tuple
-    grouped by daycare: one ``(daycare, applicants, displacer)`` triple
-    per distinct non-dummy daycare, in first-occurrence order, where the
-    displacer is the first applicant in sibling order.  Instances are
-    immutable by convention; all contained collections are tuples.
+    order: the one table of the market's children), ``rank[daycare_id]``,
+    ``quota`` (daycare id to quota), and ``applications[family_id][j]``,
+    the family's ``j``-th preference tuple grouped by daycare: one
+    ``(daycare, applicants, displacer)`` triple per distinct non-dummy
+    daycare, in first-occurrence order, where the displacer is the first
+    applicant in sibling order.  ``rank[d]`` holds the applicant pairs of
+    ``d`` only: each child that some tuple of its family names ``d`` for
+    and that ``d`` ranks, mapped to its priority position.  The engine, the
+    scans, the solver and the diagnostics look up no other pair; at n=3000
+    these are about 2% of all (child, daycare) pairs.
+    :meth:`is_acceptable` answers for any pair.  Instances are immutable by
+    convention; all contained collections are tuples.
     """
 
     def __init__(
@@ -172,6 +177,8 @@ class Instance:
 
         self.family_of: dict[str, str] = {}
         self.applications: dict[str, tuple[tuple, ...]] = {}
+        # each daycare's applicants, a child once per tuple that names it
+        applied: dict[str, list[str]] = {d: [] for d in self.daycares_by_id}
         for fam in self.families:
             for attr in ("children", "preferences"):
                 if not isinstance(getattr(fam, attr), tuple):
@@ -192,21 +199,23 @@ class Instance:
             # by the child for a lone applicant and by itself otherwise
             groups: dict = {c: frozenset((c,)) for c in fam.children}
             compiled: list[tuple] = []
+            # the path of tuple j is f"{path}[{j}]", formatted only to raise
+            path = f"families[{fam.id}].preferences"
             for j, tup in enumerate(fam.preferences):
-                path = f"families[{fam.id}].preferences[{j}]"
                 if not isinstance(tup, tuple):
-                    raise InstanceError(f"{path}: expected a tuple of daycare ids")
+                    raise InstanceError(f"{path}[{j}]: expected a tuple of daycare ids")
                 if len(tup) != len(fam.children):
                     raise InstanceError(
-                        f"{path}: tuple length {len(tup)} != "
+                        f"{path}[{j}]: tuple length {len(tup)} != "
                         f"family size {len(fam.children)}"
                     )
                 entries: dict[str, tuple[str, frozenset[str], str]] = {}
                 for child, d in zip(fam.children, tup):
                     if not isinstance(d, str) or d not in self.daycares_by_id:
-                        raise InstanceError(f"{path}: unknown daycare {d!r}")
+                        raise InstanceError(f"{path}[{j}]: unknown daycare {d!r}")
                     if d == DUMMY_ID:
                         continue
+                    applied[d].append(child)
                     entry = entries.get(d)
                     if entry is None:
                         entries[d] = (d, groups[child], child)
@@ -214,12 +223,15 @@ class Instance:
                         merged = entry[1] | groups[child]
                         entries[d] = (d, groups.setdefault(merged, merged), entry[2])
                 if tup in seen:
-                    raise InstanceError(f"{path}: duplicate tuple {tup!r}")
+                    raise InstanceError(f"{path}[{j}]: duplicate tuple {tup!r}")
                 seen.add(tup)
                 compiled.append(tuple(entries.values()))
             self.applications[fam.id] = tuple(compiled)
 
         self.rank: dict[str, dict[str, int]] = {}
+        # one int object per position, shared by every table; a valid
+        # priority is no longer, and a longer one fails the length check
+        positions = tuple(range(len(self.family_of)))
         for dc in self.daycares:
             path = f"daycares[{dc.id}]"
             if dc.quota is not None and (
@@ -235,13 +247,13 @@ class Instance:
             if not isinstance(dc.priority, tuple):
                 raise InstanceError(f"{path}.priority: expected a tuple")
             try:
-                ranks = dict(zip(dc.priority, range(len(dc.priority))))
+                ranks = dict(zip(dc.priority, positions))
                 valid = len(ranks) == len(dc.priority) and ranks.keys() <= self.family_of.keys()
             except TypeError:  # an unhashable entry
                 valid = False
             if not valid:
                 _raise_priority_error(path, dc.priority, self.family_of)
-            self.rank[dc.id] = ranks
+            self.rank[dc.id] = {c: ranks[c] for c in applied[dc.id] if c in ranks}
 
         # F^S / F^O partition, in family-id order (the canonical scan order).
         self.families_in_id_order: tuple[Family, ...] = tuple(
@@ -260,10 +272,15 @@ class Instance:
         return len(self.family_of)
 
     def is_acceptable(self, daycare_id: str, child: str) -> bool:
-        """True if the daycare ranks the child (the dummy accepts all)."""
+        """True if the daycare ranks the child (the dummy accepts all).
+
+        A pair in ``rank`` is answered from it, any other pair by a scan of
+        the priority list: an applicant the daycare does not rank, or a
+        pair that only input from outside a run names.
+        """
         if daycare_id == DUMMY_ID:
             return True
-        return child in self.rank[daycare_id]
+        return child in self.rank[daycare_id] or child in self.daycares_by_id[daycare_id].priority
 
     def __repr__(self) -> str:
         return (

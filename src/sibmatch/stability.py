@@ -67,8 +67,10 @@ def select(seated, applicants, rank: dict[str, int], quota: int | None):
 
     Returns ``(refused, evicted)``, the applicants and the seated children
     not chosen, the latter in priority order.  ``rank`` maps child to
-    priority position; applicants absent from it are unacceptable.
-    ``seated`` (all acceptable) and ``applicants`` are disjoint sets.
+    priority position, such as ``Instance.rank[d]``, which holds only the
+    daycare's applicant pairs; applicants absent from it are unacceptable.
+    ``seated`` (all acceptable) and ``applicants`` are disjoint sets of
+    children some tuple of their family names the daycare for.
     """
     if quota is None:
         return _ADMITTED

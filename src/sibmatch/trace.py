@@ -164,8 +164,11 @@ class Replay:
     This is the one check of a trace against its market: a move naming a
     child or daycare the instance lacks, moving a child from a daycare it
     does not sit at, or seating a child at a daycare that does not rank
-    it, and an eviction whose displacer the same ``place`` event does not
-    place, each raise :class:`MatchingError`.
+    it, an eviction whose displacer the same ``place`` event does not
+    place, a ``placed`` that is not the event's family's ``tuple_index``-th
+    tuple, and a ``place`` event that leaves a daycare above its quota,
+    each raise :class:`MatchingError`.  So every seat is an applicant pair
+    of its daycare, held in ``Instance.rank``.
     """
 
     def __init__(self, instance: Instance, trace: ExecutionTrace):
@@ -210,7 +213,23 @@ class Replay:
                 for child, daycare in event["placed"].items():
                     source = self.assignment.get(child, DUMMY_ID)
                     moves.append(self._move(child, source, daycare))
+                self._check_placement(event)
             yield event, moves
+
+    def _check_placement(self, event: dict) -> None:
+        """Raise :class:`MatchingError` unless the ``place`` event seats its
+        family's ``tuple_index``-th tuple and leaves every daycare it fills
+        within its quota."""
+        family, j, placed = event["family"], event["tuple_index"], event["placed"]
+        fam = self.instance.families_by_id.get(family)
+        if fam is None or not 0 <= j < len(fam.preferences) or (
+            placed != dict(zip(fam.children, fam.preferences[j]))
+        ):
+            raise MatchingError(f"trace: {family!r} places {placed}, not its tuple {j}")
+        for daycare in dict.fromkeys(placed.values()):
+            quota = self.instance.quota[daycare]
+            if daycare != DUMMY_ID and len(self.rosters[daycare]) > quota:
+                raise MatchingError(f"trace: {daycare!r} ends above its quota {quota}")
 
 
 def displacement_chains(events) -> list[dict]:

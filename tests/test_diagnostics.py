@@ -248,15 +248,18 @@ def test_grouped_families_have_tight_diameter():
 
 
 def test_roster_check_flags_corrupted_trace(restart_mkt):
-    out = run_esda(restart_mkt)
-    child = next(c for c, d in out.matching.assignment.items() if d != "d0")
-    events = [dict(e) for e in out.trace.events]
-    # forge an event that vacates a seat without refilling it
-    events.append(
-        {"kind": "place", "family": "forged", "tuple_index": 0,
-         "placed": {child: "d0"}, "evicted": []}
-    )
-    assert roster_monotonicity_violations(restart_mkt, ExecutionTrace(events)) != []
+    # forge a second placement of f1, which moves c2 from d2 to d4 and so
+    # vacates d2 without refilling it
+    events = [
+        {"kind": "attempt", "index": 0, "pi": [1, 2, 3], "families": ["f1", "f2", "f3"]},
+        {"kind": "place", "family": "f1", "tuple_index": 0,
+         "placed": {"c1": "d1", "c2": "d2"}, "evicted": []},
+        {"kind": "place", "family": "f1", "tuple_index": 1,
+         "placed": {"c1": "d1", "c2": "d4"}, "evicted": []},
+    ]
+    assert roster_monotonicity_violations(restart_mkt, ExecutionTrace(events)) == [
+        {"event": 2, "daycare": "d2", "decrease": 1}
+    ]
 
 
 def test_replays_reject_a_foreign_trace(restart_mkt):
@@ -292,9 +295,25 @@ def test_replays_reject_a_foreign_trace(restart_mkt):
          "placed": {"c3": "d3", "c4": "d4"}, "evicted": [["c1", "d1", "c9"]]},
         {"kind": "success"},
     ])
+    # f1 places f3's children at its own first tuple's daycares
+    foreign = ExecutionTrace(unseated.events[:2] + [
+        {"kind": "place", "family": "f1", "tuple_index": 0,
+         "placed": {"c5": "d1", "c6": "d2"}, "evicted": []},
+        {"kind": "success"},
+    ])
+    # c1 sits at d1, and f3's placement seats c5 there too, evicting no one
+    over_quota = ExecutionTrace(unseated.events[:2] + [
+        {"kind": "place", "family": "f3", "tuple_index": 0,
+         "placed": {"c5": "d1", "c6": "d4"}, "evicted": []},
+        {"kind": "success"},
+    ])
     checks = (replay_trace, roster_monotonicity_violations, rank_lemma_violations,
               extract_chains, structure_report)
     for check in checks:
+        with pytest.raises(MatchingError, match="'f1' places .*'c5': 'd1'.*, not its tuple 0"):
+            check(restart_mkt, foreign)
+        with pytest.raises(MatchingError, match="'d1' ends above its quota 1"):
+            check(restart_mkt, over_quota)
         with pytest.raises(MatchingError, match="does not rank"):
             check(restart_mkt, unranked)
         with pytest.raises(MatchingError, match="where it is not seated"):

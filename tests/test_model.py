@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import helpers
+from sibmatch.market import MarketConfig, gen_instance
 from sibmatch.model import (
     DUMMY_ID,
     Daycare,
@@ -224,6 +225,50 @@ def test_roundtrip_golden_and_random():
         assert twin.daycares == inst.daycares
         assert twin.meta == inst.meta
         assert dump_instance(twin) == dump_instance(inst)
+
+
+def _applicant_pairs(inst):
+    """Every (daycare, child) pair some tuple of the child's family names."""
+    return {
+        (d, c)
+        for fam in inst.families
+        for tup in fam.preferences
+        for c, d in zip(fam.children, tup)
+        if d != DUMMY_ID
+    }
+
+
+def _check_rank_tables(inst):
+    acceptable = {
+        (d, c) for d, c in _applicant_pairs(inst) if c in inst.daycares_by_id[d].priority
+    }
+    assert {(d, c) for d, table in inst.rank.items() for c in table} == acceptable
+    for d, c in acceptable:
+        assert inst.rank[d][c] == inst.daycares_by_id[d].priority.index(c)
+    for dc in inst.daycares:
+        for c in inst.family_of:
+            assert inst.is_acceptable(dc.id, c) == (dc.id == DUMMY_ID or c in dc.priority)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_rank_tables_hold_the_acceptable_applicant_pairs(seed):
+    _check_rank_tables(helpers.random_instance(random.Random(seed)))
+
+
+@pytest.mark.parametrize("cfg", [
+    MarketConfig(n=14, phi=0.5, seed=1),
+    MarketConfig(n=60, phi=1.0, alpha=0.5, seed=2),
+    MarketConfig(n=200, phi=0.0, seed=3),
+], ids=["n14", "n60-phi1", "n200-phi0"])
+def test_generated_rank_tables_hold_the_acceptable_applicant_pairs(cfg):
+    _check_rank_tables(gen_instance(cfg))
+
+
+def test_rank_tables_hold_no_other_pairs():
+    # a full table per daycare would hold 22,000 entries here
+    inst = gen_instance(MarketConfig(n=500, phi=0.5, seed=0))
+    assert sum(map(len, inst.rank.values())) == 2_657
 
 
 def test_matching_roundtrip(rotation_mkt):

@@ -44,8 +44,8 @@ def test_choice_invariants():
             if dc.unlimited:
                 assert sel == applicants
                 continue
-            acceptable = {c for c in applicants if c in inst.rank[dc.id]}
-            assert all(c in inst.rank[dc.id] for c in sel)
+            acceptable = {c for c in applicants if c in dc.priority}
+            assert all(c in dc.priority for c in sel)
             assert len(sel) == min(len(acceptable), dc.quota)
 
 
