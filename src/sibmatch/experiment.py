@@ -21,7 +21,6 @@ columns.
 from __future__ import annotations
 
 import hashlib
-import json
 import statistics
 import time
 from collections import Counter
@@ -29,8 +28,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 from sibmatch.algorithms import run_da, run_esda, run_sc, run_sda
-from sibmatch.market import MarketConfig, check_fields, gen_instance
-from sibmatch.model import Instance
+from sibmatch.market import MarketConfig, gen_instance
+from sibmatch.model import Instance, check_fields, is_kind, parse_json
 from sibmatch.solver import SearchBudget, find_stable
 from sibmatch.stability import is_stable
 
@@ -207,13 +206,15 @@ def _run_trial(args) -> list[tuple[str, object, float, object, object]]:
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
     """Run the whole grid; deterministic given the spec (timings aside).
 
-    ``jobs`` worker processes run the trials; it must be an integer >= 1
-    (1 runs them in this process), else ValueError.  A market that fails
-    to generate raises ValueError ``generation failed for n=.. phi=..
-    trial=..: <cause>``; an algorithm's exception only counts as a
+    ``jobs`` bounds the worker processes that run the grid's markets; it
+    must be an integer >= 1, else ValueError.  When ``jobs`` and the
+    number of markets both exceed 1, a pool of the smaller of the two
+    processes runs them; otherwise they run in this process.  A market
+    that fails to generate raises ValueError ``generation failed for n=..
+    phi=.. trial=..: <cause>``; an algorithm's exception only counts as a
     ``harness-error`` failure of its cell.
     """
-    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+    if not is_kind("int", jobs) or jobs < 1:
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     tasks = [
         (spec, n, phi, trial)
@@ -221,8 +222,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> ExperimentReport:
         for phi in spec.phis
         for trial in range(spec.trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_trial = list(pool.map(_run_trial, tasks, chunksize=4))
     else:
         per_trial = [_run_trial(t) for t in tasks]
@@ -291,8 +292,4 @@ def render_report(report: ExperimentReport, fmt: str = "csv") -> str:
 
 
 def spec_from_json(text: str | bytes) -> SweepSpec:
-    try:
-        data = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"invalid spec JSON: {exc}") from exc
-    return SweepSpec.from_dict(data)
+    return SweepSpec.from_dict(parse_json(text, ValueError, "invalid spec JSON: {}"))

@@ -40,12 +40,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from sibmatch import _kernels
-from sibmatch.model import DUMMY_ID, Daycare, Family, Instance
+from sibmatch.model import DUMMY_ID, Daycare, Family, Instance, check_fields, is_kind
 
 __all__ = [
     "MarketConfig",
     "bounded_distribution",
-    "check_fields",
     "family_counts",
     "gen_family_prefs",
     "gen_individual_prefs",
@@ -54,44 +53,6 @@ __all__ = [
     "kendall_tau",
     "mallows_sample",
 ]
-
-
-# The values each annotation of a checked field admits: bools never count
-# as numbers, ints count as floats, and an int must lie in the float range
-# (the range checks and the generator's arithmetic convert it).
-_KINDS = {
-    "int": (int, "an integer in the float range"),
-    "float": ((int, float), "a number in the float range"),
-    "str": (str, "a string"),
-    "dict": (dict, "an object"),
-}
-
-
-def _is(kind: str, value) -> bool:
-    if isinstance(value, bool) or not isinstance(value, _KINDS[kind][0]):
-        return False
-    return not isinstance(value, int) or abs(value) <= sys.float_info.max
-
-
-def check_fields(obj) -> None:
-    """Check every field of the dataclass ``obj`` against its annotation.
-
-    ``int``, ``float``, ``str`` and ``dict`` fields must hold such a value
-    (see ``_KINDS``); a ``tuple[X, ...]`` field must hold a list or tuple
-    of X and is stored as a tuple.  Raises ValueError naming the first
-    field that fails.  The annotations are read as strings, so the
-    dataclass's module must use ``from __future__ import annotations``.
-    """
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        item = f.type.removeprefix("tuple[").removesuffix(", ...]")
-        if item == f.type:
-            if not _is(item, value):
-                raise ValueError(f"{f.name} must be {_KINDS[item][1]}")
-        elif isinstance(value, (list, tuple)) and all(_is(item, v) for v in value):
-            object.__setattr__(obj, f.name, tuple(value))
-        else:
-            raise ValueError(f"{f.name} must be a list, each item {_KINDS[item][1]}")
 
 
 @dataclass(frozen=True)
@@ -363,9 +324,9 @@ def mallows_sample(reference, phi: float, rng, size: int | None = None):
     the reference's items at the positions :func:`_mallows_positions`
     draws.
     """
-    if not (_is("float", phi) and 0.0 <= phi <= 1.0):
+    if not (is_kind("float", phi) and 0.0 <= phi <= 1.0):
         raise ValueError("phi must lie in [0, 1]")
-    if size is not None and not (_is("int", size) and size >= 0):
+    if size is not None and not (is_kind("int", size) and size >= 0):
         raise ValueError("size must be None or an integer >= 0")
     positions = _mallows_positions(len(reference), phi, rng, 1 if size is None else size)
     if isinstance(reference, np.ndarray):

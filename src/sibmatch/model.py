@@ -13,12 +13,20 @@ Preference semantics, used by every other module:
 * every listed tuple is strictly preferred to the all-dummy tuple;
 * the all-dummy tuple is strictly preferred to any unlisted tuple
   (unlisted tuples are never produced by algorithms).
+
+This module also states, once, what input from outside the program may
+hold: :func:`is_kind` is the one check of a value's JSON kind (a bool is
+never a number, and an integer must lie in the float range),
+:func:`check_fields` the one check of a config dataclass's fields, and
+:func:`parse_json` the one parse of JSON text.  The other modules call
+these for their specs, traces and options.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Iterable, Mapping
 
 DUMMY_ID = "d0"
@@ -46,6 +54,59 @@ class InstanceError(ValueError):
 
 class MatchingError(ValueError):
     """Matching data is not a total, well-referenced assignment."""
+
+
+# The values each kind of outside input admits: bools never count as
+# numbers, ints count as floats, and an int must lie in the float range
+# (the range checks and the generator's arithmetic convert it).
+_KINDS = {
+    "int": (int, "an integer in the float range"),
+    "float": ((int, float), "a number in the float range"),
+    "str": (str, "a string"),
+    "list": (list, "a list"),
+    "dict": (dict, "an object"),
+}
+
+
+def is_kind(kind: str, value) -> bool:
+    """True if ``value`` is of ``kind``: ``"int"``, ``"float"``, ``"str"``,
+    ``"list"`` or ``"dict"``.  A bool is of none of them, and an int is
+    a ``"float"`` too but of neither kind beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, _KINDS[kind][0]):
+        return False
+    return not isinstance(value, int) or abs(value) <= sys.float_info.max
+
+
+def check_fields(obj) -> None:
+    """Check every field of the dataclass ``obj`` against its annotation.
+
+    This is the one type check of a config's fields (``MarketConfig``,
+    ``SearchBudget``, ``SweepSpec``).  An ``int``, ``float``, ``str``,
+    ``list`` or ``dict`` field must hold a value of that kind (see
+    :func:`is_kind`); a ``tuple[X, ...]`` field must hold a list or tuple
+    of X and is stored as a tuple.  Raises ValueError naming the first
+    field that fails.  The annotations are read as strings, so the
+    dataclass's module must use ``from __future__ import annotations``.
+    """
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        item = f.type.removeprefix("tuple[").removesuffix(", ...]")
+        if item == f.type:
+            if not is_kind(item, value):
+                raise ValueError(f"{f.name} must be {_KINDS[item][1]}")
+        elif isinstance(value, (list, tuple)) and all(is_kind(item, v) for v in value):
+            object.__setattr__(obj, f.name, tuple(value))
+        else:
+            raise ValueError(f"{f.name} must be a list, each item {_KINDS[item][1]}")
+
+
+def parse_json(text: bytes | str, error: type[ValueError], message: str):
+    """The value of the JSON ``text``; text that does not parse, or nests
+    too deep, raises ``error(message.format(cause))``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise error(message.format(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -234,9 +295,7 @@ class Instance:
         positions = tuple(range(len(self.family_of)))
         for dc in self.daycares:
             path = f"daycares[{dc.id}]"
-            if dc.quota is not None and (
-                not isinstance(dc.quota, int) or isinstance(dc.quota, bool)
-            ):
+            if dc.quota is not None and not is_kind("int", dc.quota):
                 raise InstanceError(f"{path}.quota: expected an integer or null")
             if dc.unlimited and dc.id != DUMMY_ID:
                 raise InstanceError(f"{path}.quota: only {DUMMY_ID!r} may be unlimited")
@@ -407,10 +466,7 @@ def load_instance(data: bytes | str | Mapping) -> Instance:
     violations, dangling references, duplicate ids, or a missing dummy.
     """
     if isinstance(data, (bytes, str)):
-        try:
-            data = json.loads(data)
-        except (ValueError, RecursionError) as exc:
-            raise InstanceError(f"$: invalid JSON ({exc})") from exc
+        data = parse_json(data, InstanceError, "$: invalid JSON ({})")
     _expect(isinstance(data, Mapping), "$", "expected a JSON object")
     for key in ("families", "daycares"):
         _expect(key in data, "$", f"missing key {key!r}")
@@ -472,10 +528,7 @@ def dump_instance(instance: Instance) -> str:
 
 def load_matching(data: bytes | str | Mapping, instance: Instance) -> Matching:
     if isinstance(data, (bytes, str)):
-        try:
-            data = json.loads(data)
-        except (ValueError, RecursionError) as exc:
-            raise MatchingError(f"$: invalid JSON ({exc})") from exc
+        data = parse_json(data, MatchingError, "$: invalid JSON ({})")
     if not isinstance(data, Mapping) or "assignment" not in data:
         raise MatchingError("$: expected an object with key 'assignment'")
     return Matching(instance, data["assignment"])

@@ -33,8 +33,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 
-from sibmatch.market import check_fields
-from sibmatch.model import DUMMY_ID, Instance, Matching
+from sibmatch.model import DUMMY_ID, Instance, Matching, check_fields
 from sibmatch.stability import MODES, blocking_coalition_of, scan_blocking
 
 __all__ = ["FindStableResult", "SearchBudget", "find_stable"]

@@ -46,23 +46,24 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
-from sibmatch.model import DUMMY_ID, Instance, Matching, MatchingError
+from sibmatch.model import DUMMY_ID, Instance, Matching, MatchingError, is_kind, parse_json
 
 __all__ = ["ExecutionTrace", "Replay", "displacement_chains", "replay_trace"]
 
 TERMINAL_KINDS = ("repeat", "improvement", "clash", "success")
 
-# Every event kind with its fields and their JSON types, as listed above.
-EVENT_FIELDS: dict[str, dict[str, type]] = {
-    "attempt": {"index": int, "pi": list, "families": list},
-    "insert": {"family": str, "position": int},
-    "reject": {"family": str, "tuple_index": int, "daycare": str, "children": list},
-    "place": {"family": str, "tuple_index": int, "placed": dict, "evicted": list},
-    "exhausted": {"family": str},
-    "restart": {"inserting": str, "displaced": str, "new_pi": list},
-    "repeat": {"inserting": str, "displaced": str, "new_pi": list},
-    "improvement": {"family": str, "tuple_index": int},
-    "clash": {"family": str, "child": str, "daycare": str, "reason": str},
+# Every event kind with its fields and the kind of JSON value each holds
+# (a kind of ``model.is_kind``), as listed above.
+EVENT_FIELDS: dict[str, dict[str, str]] = {
+    "attempt": {"index": "int", "pi": "list", "families": "list"},
+    "insert": {"family": "str", "position": "int"},
+    "reject": {"family": "str", "tuple_index": "int", "daycare": "str", "children": "list"},
+    "place": {"family": "str", "tuple_index": "int", "placed": "dict", "evicted": "list"},
+    "exhausted": {"family": "str"},
+    "restart": {"inserting": "str", "displaced": "str", "new_pi": "list"},
+    "repeat": {"inserting": "str", "displaced": "str", "new_pi": "list"},
+    "improvement": {"family": "str", "tuple_index": "int"},
+    "clash": {"family": "str", "child": "str", "daycare": "str", "reason": "str"},
     "success": {},
 }
 
@@ -74,10 +75,9 @@ def _check_event(event) -> None:
     kind = event.get("kind") if isinstance(event, dict) else None
     if not isinstance(kind, str) or kind not in EVENT_FIELDS:
         raise ValueError("expected an event object with a known kind")
-    for name, json_type in EVENT_FIELDS[kind].items():
-        value = event.get(name)
-        if not isinstance(value, json_type) or isinstance(value, bool):
-            raise ValueError(f"{kind} event: {name!r} must be of type {json_type.__name__}")
+    for name, field_kind in EVENT_FIELDS[kind].items():
+        if not is_kind(field_kind, event.get(name)):
+            raise ValueError(f"{kind} event: {name!r} must be of type {field_kind}")
     for entry in event.get("evicted", ()):
         ids = isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)
         if not ids:
@@ -142,9 +142,9 @@ class ExecutionTrace:
         for number, line in enumerate(text.splitlines(), 1):
             if line.strip():
                 try:
-                    events.append(json.loads(line))
+                    events.append(parse_json(line, ValueError, "{}"))
                     _check_event(events[-1])
-                except (ValueError, RecursionError) as exc:
+                except ValueError as exc:
                     raise ValueError(f"trace line {number}: {exc}") from None
         return cls(events)
 
@@ -165,10 +165,11 @@ class Replay:
     child or daycare the instance lacks, moving a child from a daycare it
     does not sit at, or seating a child at a daycare that does not rank
     it, an eviction whose displacer the same ``place`` event does not
-    place, a ``placed`` that is not the event's family's ``tuple_index``-th
-    tuple, and a ``place`` event that leaves a daycare above its quota,
-    each raise :class:`MatchingError`.  So every seat is an applicant pair
-    of its daycare, held in ``Instance.rank``.
+    place at the daycare it evicts from, a ``placed`` that is not the
+    event's family's ``tuple_index``-th tuple, and a ``place`` event that
+    leaves a daycare above its quota, each raise :class:`MatchingError`.
+    So every seat is an applicant pair of its daycare, held in
+    ``Instance.rank``.
     """
 
     def __init__(self, instance: Instance, trace: ExecutionTrace):
@@ -205,10 +206,10 @@ class Replay:
             elif event["kind"] == "place":
                 for child, daycare, displacer in event["evicted"]:
                     moves.append(self._move(child, daycare, DUMMY_ID))
-                    if displacer not in event["placed"]:
+                    if event["placed"].get(displacer) != daycare:
                         raise MatchingError(
                             f"trace: {child!r} is evicted by {displacer!r}, "
-                            "which the event does not place"
+                            f"which the event does not place at {daycare!r}"
                         )
                 for child, daycare in event["placed"].items():
                     source = self.assignment.get(child, DUMMY_ID)

@@ -273,6 +273,16 @@ def test_trace_jsonl_roundtrip(restart_mkt):
     assert again.events == out.trace.events
 
 
+def test_trace_jsonl_rejects_an_index_beyond_the_float_range(restart_mkt):
+    trace = run_esda(restart_mkt).trace
+    assert len(trace) == len(trace.events)
+    events = [dict(e) for e in trace.events]
+    k = next(i for i, e in enumerate(events) if e["kind"] == "place")
+    events[k]["tuple_index"] = 10**400
+    with pytest.raises(ValueError, match=rf"^trace line {k + 1}: place event: 'tuple_index' must be of type int$"):
+        ExecutionTrace.from_jsonl(ExecutionTrace(events).to_jsonl())
+
+
 # -- restarts ------------------------------------------------------------------
 
 # Seeded small markets that take two or more attempts under both SDA and

@@ -295,6 +295,12 @@ def test_replays_reject_a_foreign_trace(restart_mkt):
          "placed": {"c3": "d3", "c4": "d4"}, "evicted": [["c1", "d1", "c9"]]},
         {"kind": "success"},
     ])
+    # c1 sits at d1, but the placement that evicts it seats c3 at d3
+    elsewhere = ExecutionTrace(unseated.events[:2] + [
+        {"kind": "place", "family": "f2", "tuple_index": 0,
+         "placed": {"c3": "d3", "c4": "d4"}, "evicted": [["c1", "d1", "c3"]]},
+        {"kind": "success"},
+    ])
     # f1 places f3's children at its own first tuple's daycares
     foreign = ExecutionTrace(unseated.events[:2] + [
         {"kind": "place", "family": "f1", "tuple_index": 0,
@@ -320,22 +326,23 @@ def test_replays_reject_a_foreign_trace(restart_mkt):
             check(restart_mkt, unseated)
         with pytest.raises(MatchingError, match="'c1' is evicted by 'c9', which the event does not place"):
             check(restart_mkt, unplaced)
+        with pytest.raises(MatchingError, match="'c1' is evicted by 'c3', which the event does not place at 'd1'"):
+            check(restart_mkt, elsewhere)
 
 
 def test_rank_lemma_flags_a_vacated_seat_before_success():
     inst = helpers.make_instance(
-        [("f1", ["c1"], [["d1"]]), ("f2", ["c2"], [["d2"]])],
+        [("f1", ["c1"], [["d2"], ["d1"]]), ("f2", ["c2"], [["d2"]])],
         [("d1", 1, ["c1", "c2"]), ("d2", 1, ["c1", "c2"])],
     )
 
     def trace(last):
-        # f2's placement at d2 evicts c1, the only child seated at d1, so
-        # d1's rank rises from 1 (c1) to 3 (a vacant seat)
+        # f1's second placement moves c1, the only child seated at d1, to
+        # d2, so d1's rank rises from 1 (c1) to 3 (a vacant seat)
         return ExecutionTrace([
             {"kind": "attempt", "index": 0, "pi": [], "families": []},
-            {"kind": "place", "family": "f1", "tuple_index": 0, "placed": {"c1": "d1"}, "evicted": []},
-            {"kind": "place", "family": "f2", "tuple_index": 0, "placed": {"c2": "d2"},
-             "evicted": [["c1", "d1", "c2"]]},
+            {"kind": "place", "family": "f1", "tuple_index": 1, "placed": {"c1": "d1"}, "evicted": []},
+            {"kind": "place", "family": "f1", "tuple_index": 0, "placed": {"c1": "d2"}, "evicted": []},
             last,
         ])
 

@@ -302,7 +302,39 @@ def test_run_sweep_raises_value_error_when_generation_fails():
     assert isinstance(err.value.__cause__, ValueError)
 
 
-@pytest.mark.parametrize("jobs", [0, -3, 1.0, True, None])
-def test_run_sweep_rejects_a_bad_job_count(jobs):
+@pytest.fixture
+def pools(monkeypatch):
+    """The size of each process pool ``run_sweep`` makes.  The fake pool
+    maps in this process, so no worker process starts."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", FakePool)
+    return sizes
+
+
+@pytest.mark.parametrize("jobs", [0, -3, 1.0, True, None, pytest.param(10**400, id="10**400")])
+def test_run_sweep_rejects_a_bad_job_count(jobs, pools):
     with pytest.raises(ValueError, match="jobs"):
         run_sweep(small_spec(trials=1), jobs=jobs)
+
+
+def test_run_sweep_starts_no_more_workers_than_markets(pools):
+    two_markets, one_market = small_spec(trials=1), small_spec(trials=1, phis=(0.5,))
+    for spec, jobs, made in ((two_markets, 64, [2]), (one_market, 2, [])):
+        pools.clear()
+        report = render_report(run_sweep(spec, jobs=jobs))
+        assert pools == made
+        assert strip_timing(report) == strip_timing(render_report(run_sweep(spec)))

@@ -187,6 +187,7 @@ ONE_CHILD = [Family("f1", ("c1",), ())]
         (ONE_CHILD, [Daycare("d1", "2", ("c1",))], None, r"daycares\[d1\].quota"),
         (ONE_CHILD, [Daycare("d1", True, ("c1",))], None, r"daycares\[d1\].quota"),
         (ONE_CHILD, [Daycare("d1", 1.5, ("c1",))], None, r"daycares\[d1\].quota"),
+        (ONE_CHILD, [Daycare("d1", 10**400, ("c1",))], None, r"daycares\[d1\].quota: expected an integer or null"),
         (ONE_CHILD, [Daycare("d1", -1, ("c1",))], None, r"daycares\[d1\].quota: negative quota -1"),
         ([Family("f1", ("c1",), (["d0"],))], [], None, r"families\[f1\].preferences\[0\]"),
         ([Family("f1", ("c1",), ((["d0"],),))], [], None, r"families\[f1\].preferences\[0\]"),
@@ -201,7 +202,7 @@ ONE_CHILD = [Family("f1", ("c1",), ())]
         ([Family("f1", (), ())], [], None, r"families\[f1\].children: empty"),
     ],
     ids=[
-        "priority-list", "quota-str", "quota-bool", "quota-float", "quota-negative", "tuple-list", "daycare-list",
+        "priority-list", "quota-str", "quota-bool", "quota-float", "quota-huge", "quota-negative", "tuple-list", "daycare-list",
         "preferences-none", "children-int", "priority-none", "family-str", "daycare-str",
         "meta-list", "families-none", "priority-duplicate", "children-empty",
     ],
@@ -276,6 +277,13 @@ def test_matching_roundtrip(rotation_mkt):
     again = load_matching(dump_matching(m), rotation_mkt)
     assert again == m
     assert again.roster("d1") == frozenset({"c1"})
+
+
+def test_reprs_and_comparison_with_another_type(rotation_mkt):
+    m = Matching(rotation_mkt, {"c1": "d1", "c2": "d2", "c3": "d0", "c4": "d0", "c5": "d0", "c6": "d0"})
+    assert repr(m) == "Matching(2/6 matched)"
+    assert repr(rotation_mkt) == "Instance(3 families, 6 children, 4 daycares)"
+    assert (m == "x") is False
 
 
 def test_matching_requires_totality(rotation_mkt):
