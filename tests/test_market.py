@@ -385,6 +385,15 @@ PINNED_MARKETS = [
     (MarketConfig(n=500, phi=0.0, seed=1), "68d764077d44da42458ba08560ea15daed4ca37a5fe49596b67a5f7db7d1bb2a"),
     (MarketConfig(n=500, phi=0.5, seed=2), "df2d8a30bc740a7dbb5c515d34d4c77c498e6e8d0073dcc93849c9b0c4831e87"),
     (MarketConfig(n=500, phi=1.0, seed=3), "3d3ae2a1a21cbce516e4f83bd1c7759c1540bf351251f7ae5092825cf3e066c8"),
+    # phi strictly between 0 and 1 draws through the truncated geometric's log
+    (MarketConfig(n=500, phi=0.3, seed=11), "28d6a107e52b64eea57e42f63dc0a99cd3dd30484635be788fcacb52f05bbac1"),
+    (MarketConfig(n=500, phi=0.7, seed=12), "0c1542dcd40478dccd521a59ecc3e5ed445677fadaab48c72c238fda1db1da00"),
+    (MarketConfig(n=500, phi=0.9, seed=13), "c11b58d4c3cf555768b1be110d749158ded311874b678c2565bec09f6d095467"),
+    # four units per physical daycare, so blocks split daycares elsewhere
+    (
+        MarketConfig(n=800, phi=0.8, capacity_profile=(3, 2, 2, 1), seed=14),
+        "998b6c4827bcebce98f667d9d753f4a92f978ea96677c9b50e56cd213f3d3341",
+    ),
     # mean displacement ~n/4 = 300 items shifted per insert
     (MarketConfig(n=1200, phi=1.0, seed=4), "14989cce04db619435fa4c91717b0d8c5c87ee95b74a5377a96b1f74c99b17ed"),
     # the size of the n3000 benchmark markets: 268 physical daycares, 1,608 units
@@ -407,13 +416,23 @@ PINNED_MARKETS = [
     "cfg, digest",
     PINNED_MARKETS,
     ids=[
-        "n500-phi0", "n500-phi0.5", "n500-phi1", "n1200-phi1", "n3000-phi0.5",
-        "oracle-0", "oracle-1",
+        "n500-phi0", "n500-phi0.5", "n500-phi1", "n500-phi0.3", "n500-phi0.7", "n500-phi0.9",
+        "n800-phi0.8-profile4", "n1200-phi1", "n3000-phi0.5", "oracle-0", "oracle-1",
     ],
 )
 def test_gen_instance_bytes_are_pinned(cfg, digest):
     text = dump_instance(gen_instance(cfg))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_pinned_markets_hold_when_generated_back_to_back():
+    # markets of different n and phi in both orders: nothing computed for
+    # one market's draws may carry into the next
+    markets = [PINNED_MARKETS[k] for k in (3, 6, 2)]
+    for order in (markets, markets[::-1]):
+        for cfg, digest in order:
+            text = dump_instance(gen_instance(cfg))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, cfg
 
 
 def test_gen_instance_rejects_a_sigma_past_the_float_range():
