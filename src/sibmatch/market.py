@@ -35,7 +35,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -266,45 +266,43 @@ def gen_reference_ordering(
     return ordering, grouped
 
 
-def _displacements(n: int, phi: float, rng, count: int) -> np.ndarray:
-    """Per-item insertion displacements of ``count`` Mallows draws, one row each.
+def _mallows_positions(n: int, phi: float, rng, counts: Iterable[int]) -> Iterator[np.ndarray]:
+    """Mallows draws of the positions ``0..n-1``: one ``(count, n)`` block per ``count``.
 
-    Item i jumps ahead of v_i previously placed items, v_i in {0..i} with
-    Pr[v_i = k] proportional to phi**k; total inversions = sum(v).
-    Sampled by inverting the truncated geometric CDF; needs
-    ``0 < phi <= 1``.  The one ``rng.random((count, n))`` call consumes
-    the generator exactly as ``count`` calls of ``rng.random(n)`` do.
-    The arithmetic runs in place, so a block of rows holds two arrays of
-    its size, not one per step.
+    ``phi=0`` gives identity rows without touching ``rng``.  Otherwise
+    item i jumps ahead of v_i previously placed items, v_i in {0..i} with
+    Pr[v_i = k] proportional to phi**k; total inversions = sum(v).  v is
+    sampled by inverting the truncated geometric CDF, whose per-item
+    constants are computed once per call, not once per block.  A block's
+    one ``rng.random((count, n))`` call consumes the generator exactly as
+    ``count`` calls of ``rng.random(n)`` do, and its arithmetic runs in
+    place.  Its rows are decoded in one kernel call, laid end to end:
+    each v_i is at most i, so row r fills its own span ``r*n .. r*n+n-1``.
     """
-    u = rng.random((count, n))
     i = np.arange(n, dtype=np.int64)
-    if phi == 1.0:
-        u *= i + 1
-        v = u.astype(np.int64)
-        return np.minimum(v, i, out=v)
-    u *= 1.0 - np.power(phi, (i + 1).astype(float))
-    np.subtract(1.0, u, out=u)
-    np.log(u, out=u)
-    u /= math.log(phi)
-    v = np.ceil(u, out=u).astype(np.int64)
-    v -= 1
-    return np.clip(v, 0, i, out=v)
-
-
-def _mallows_positions(n: int, phi: float, rng, count: int) -> np.ndarray:
-    """``count`` Mallows draws of the positions ``0..n-1``, one row each.
-
-    ``phi=0`` gives the identity rows without touching ``rng``.  The rows
-    are decoded in one kernel call, laid end to end: each v_i is at most
-    i, so row r fills its own block ``r*n .. r*n+n-1``.
-    """
     if phi == 0.0:
-        return np.broadcast_to(np.arange(n), (count, n))
-    rows = _displacements(n, phi, rng, count)
-    # Looked up on the module at call time so a tracer can wrap it.
-    flat = _kernels.decode_insertions(rows.ravel())
-    return flat.reshape(count, n) - n * np.arange(count)[:, None]
+        yield from (np.broadcast_to(i, (count, n)) for count in counts)
+        return
+    scale = i + 1 if phi == 1.0 else 1.0 - np.power(phi, (i + 1).astype(float))
+    for count in counts:
+        u = rng.random((count, n))
+        u *= scale
+        if phi == 1.0:
+            v = u.astype(np.int64)
+        else:
+            np.subtract(1.0, u, out=u)
+            np.log(u, out=u)
+            u /= math.log(phi)
+            v = np.ceil(u, out=u).astype(np.int64)
+            v -= 1
+        np.clip(v, 0, i, out=v)
+        # Free each array once spent: this frame waits at the yield while
+        # the caller works on the block.
+        del u
+        # Looked up on the module at call time so a tracer can wrap it.
+        block = _kernels.decode_insertions(v.ravel()).reshape(count, n) - n * np.arange(count)[:, None]
+        del v
+        yield block
 
 
 def mallows_sample(reference, phi: float, rng, size: int | None = None):
@@ -328,7 +326,7 @@ def mallows_sample(reference, phi: float, rng, size: int | None = None):
         raise ValueError("phi must lie in [0, 1]")
     if size is not None and not (is_kind("int", size) and size >= 0):
         raise ValueError("size must be None or an integer >= 0")
-    positions = _mallows_positions(len(reference), phi, rng, 1 if size is None else size)
+    (positions,) = _mallows_positions(len(reference), phi, rng, [1 if size is None else size])
     if isinstance(reference, np.ndarray):
         draws = reference[positions]
     else:
@@ -360,6 +358,12 @@ def kendall_tau(a: Sequence, b: Sequence) -> int:
     return int(_kernels.count_inversions(seq))
 
 
+# ``_gen_daycares`` draws units' priorities in blocks of about this many
+# items, n per row: enough rows to pay numpy's fixed cost once per many
+# units at small n, and few enough that a block's arrays take a few MB.
+_BLOCK_ITEMS = 65_536
+
+
 def _unit_id(phys: str, age: int) -> str:
     return f"{phys}-a{age}"
 
@@ -369,24 +373,24 @@ def _gen_daycares(phys, order, ages, cfg: MarketConfig, rng) -> list[Daycare]:
 
     Each unit's priority is a Mallows draw of positions in ``order``, the
     reference ordering as a tuple of child ids, filtered to the unit's age
-    group.  The units are drawn in blocks of ``_kernels.SHORT_ITEMS // n``
-    rows (at least one), one ``_mallows_positions`` call per block, so
-    numpy's fixed cost is paid once per block and a block decodes in one
-    kernel call on 2-byte items.  One mask of the reference ages against
-    each row's age keeps each unit's children, and the kept positions are
-    mapped to child ids once per block, through one object array of the
-    ids.  The draws equal one ``mallows_sample`` call per unit, because a
-    call of ``count`` k consumes the generator as k single draws do.
+    group.  The units are drawn in blocks of ``_BLOCK_ITEMS // n`` rows
+    (at least one), all through one ``_mallows_positions`` call, so the
+    draw's per-item constants are computed once per market, and numpy's
+    fixed cost is paid once per block, which decodes in one kernel call.
+    One mask of the reference ages against each row's age keeps each
+    unit's children, and the kept positions are mapped to child ids once
+    per block, through one object array of the ids.  The draws equal one
+    ``mallows_sample`` call per unit, because a block of k rows consumes
+    the generator as k single draws do.
     """
     n = len(order)
     age_of = np.array([ages[c] for c in order], dtype=np.int64)
     ids = np.array(order, dtype=object)
     units = [(p, age) for p in phys for age in range(len(cfg.capacity_profile))]
-    rows = max(1, _kernels.SHORT_ITEMS // n)
+    rows = max(1, _BLOCK_ITEMS // n)
+    blocks = [units[start : start + rows] for start in range(0, len(units), rows)]
     daycares = [Daycare(id=DUMMY_ID, quota=None, priority=())]
-    for start in range(0, len(units), rows):
-        block = units[start : start + rows]
-        draws = _mallows_positions(n, cfg.phi, rng, len(block))
+    for block, draws in zip(blocks, _mallows_positions(n, cfg.phi, rng, map(len, blocks))):
         mask = age_of[draws] == np.array([age for _, age in block])[:, None]
         kept = ids[draws[mask]].tolist()
         end = 0

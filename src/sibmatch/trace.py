@@ -70,20 +70,23 @@ EVENT_FIELDS: dict[str, dict[str, str]] = {
 
 def _check_event(event) -> None:
     """Raise ValueError unless ``event`` is an object of a known kind with
-    every field of that kind, each of its JSON type, every ``evicted``
-    entry a list of three ids and every ``placed`` daycare an id."""
+    every field of that kind, each of its JSON type, and, on a ``place``
+    event, every ``evicted`` entry a list of three ids and every
+    ``placed`` daycare an id.  Fields a kind does not declare are ignored."""
     kind = event.get("kind") if isinstance(event, dict) else None
     if not isinstance(kind, str) or kind not in EVENT_FIELDS:
         raise ValueError("expected an event object with a known kind")
     for name, field_kind in EVENT_FIELDS[kind].items():
         if not is_kind(field_kind, event.get(name)):
             raise ValueError(f"{kind} event: {name!r} must be of type {field_kind}")
-    for entry in event.get("evicted", ()):
+    if kind != "place":
+        return
+    for entry in event["evicted"]:
         ids = isinstance(entry, list) and len(entry) == 3 and all(isinstance(x, str) for x in entry)
         if not ids:
-            raise ValueError(f"{kind} event: each evicted entry must be a list of 3 ids")
-    if not all(isinstance(d, str) for d in event.get("placed", {}).values()):
-        raise ValueError(f"{kind} event: each placed daycare must be an id")
+            raise ValueError("place event: each evicted entry must be a list of 3 ids")
+    if not all(isinstance(d, str) for d in event["placed"].values()):
+        raise ValueError("place event: each placed daycare must be an id")
 
 
 class ExecutionTrace:

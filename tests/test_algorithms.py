@@ -273,6 +273,24 @@ def test_trace_jsonl_roundtrip(restart_mkt):
     assert again.events == out.trace.events
 
 
+# lines of other kinds that carry a place event's fields with another JSON
+# type; they raised a bare TypeError and AttributeError
+UNDECLARED_PLACE_FIELDS = [
+    '{"kind": "success", "evicted": 1.5}',
+    '{"kind": "insert", "family": "f1", "position": 0, "placed": "d1"}',
+]
+
+
+def test_trace_jsonl_ignores_fields_a_kind_does_not_declare():
+    lines = UNDECLARED_PLACE_FIELDS + ['{"kind": "success", "foo": 1}']
+    trace = ExecutionTrace.from_jsonl("\n".join(lines))
+    assert trace.events == [json.loads(line) for line in lines]
+    # on a place event the same entries are still checked
+    place = '{"kind": "place", "family": "f1", "tuple_index": 0, "placed": {"c1": "d1"}, "evicted": [1.5]}'
+    with pytest.raises(ValueError, match=r"^trace line 2: place event: each evicted entry must be a list of 3 ids$"):
+        ExecutionTrace.from_jsonl(lines[0] + "\n" + place)
+
+
 def test_trace_jsonl_rejects_an_index_beyond_the_float_range(restart_mkt):
     trace = run_esda(restart_mkt).trace
     assert len(trace) == len(trace.events)

@@ -184,6 +184,21 @@ def test_inspect_rejects_a_malformed_trace(tmp_path, capsys, seat_market_file, l
     assert capsys.readouterr().err.startswith("error: trace line 2: ")
 
 
+def test_inspect_reads_past_undeclared_fields_to_the_malformed_line(tmp_path, capsys, seat_market_file):
+    # the first two lines carry a place event's fields on other kinds; they
+    # ended the command in a bare TypeError before the third line was read
+    trace_path = tmp_path / "t.jsonl"
+    trace_path.write_text(
+        '{"kind": "success", "evicted": 1.5}\n'
+        '{"kind": "insert", "family": "f1", "position": 0, "placed": "d1"}\n'
+        + EVICTED_PAIR + "\n"
+    )
+    assert main(["inspect", "--instance", str(seat_market_file), "--trace", str(trace_path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: trace line 3: place event: each evicted entry must be a list of 3 ids\n"
+    )
+
+
 def test_inspect_rejects_a_move_no_run_could_make(tmp_path, capsys):
     # the second placement evicts c1 from d3, but c1 sits at d1
     inst_path = tmp_path / "restart_mkt.json"

@@ -23,16 +23,18 @@ def test_backend_identifier():
 
 
 def long_rows(rng):
-    """Rows with large and small shifts, and one past 65,536 items.
+    """Rows with large and small shifts, and rows of 65,536 items and more.
 
     Uniform displacements shift about n/4 items per insert; displacements
-    of at most 3 shift about 1.5.  The longest row is decoded into 4-byte
-    items, all others into 2-byte items.
+    of at most 3 shift about 1.5.  Every row decodes into 4-byte items,
+    so the rows at and just past 2**16 items check that no 2-byte limit
+    is left in the decode.
     """
     for n in (1000, 1777, 2500):
         yield [rng.randrange(0, i + 1) for i in range(n)]
         yield [rng.randrange(0, min(i, 3) + 1) for i in range(n)]
-    yield [rng.randrange(0, min(i, 3) + 1) for i in range(70_000)]
+    for n in (65_536, 65_537, 70_000):
+        yield [rng.randrange(0, min(i, 3) + 1) for i in range(n)]
 
 
 def test_decode_matches_fallback_and_brute():

@@ -19,6 +19,7 @@ from sibmatch.market import (
     gen_reference_ordering,
     kendall_tau,
     mallows_sample,
+    _BLOCK_ITEMS,
     _gen_daycares,
 )
 from sibmatch.model import DUMMY_ID, Family, Instance, dump_instance
@@ -499,7 +500,7 @@ def _synthetic_parts(n, seed):
         # 131 rows per block: block boundaries split a physical daycare's six units
         (MarketConfig(n=500, phi=0.5, seed=5), False),
         (MarketConfig(n=500, phi=1.0, seed=6), False),
-        # one row per block, decoded into 4-byte items
+        # one row per block
         (MarketConfig(n=70_000, phi=0.5), True),
     ],
     ids=["oracle", "n500-phi0.5", "n500-phi1", "n70000-one-daycare"],
@@ -520,7 +521,7 @@ def test_daycare_priorities_equal_per_unit_draws(cfg, synthetic, monkeypatch):
     monkeypatch.setattr(_kernels, "decode_insertions", decode)
 
     units = [(p, age) for p in phys for age in range(len(cfg.capacity_profile))]
-    rows = max(1, _kernels.SHORT_ITEMS // n)
+    rows = max(1, _BLOCK_ITEMS // n)
     assert decoded == [n * len(units[s : s + rows]) for s in range(0, len(units), rows)]
     assert daycares[0].id == DUMMY_ID
     assert len(daycares) == 1 + len(units)
