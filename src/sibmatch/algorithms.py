@@ -18,10 +18,12 @@ All four also share one insertion driver, and each returns an
 ``AlgorithmOutcome``.  DA is the driver with no sibling family to
 insert, so its trace (``attempt``, the DA phase, ``success``) is the
 head every other run's attempts start with.  The driver is one loop
-over the positions of the insertion order pi (id order in the first
-attempt).  The singleton DA phase ignores pi, so it runs once, right
-after the first ``attempt`` event.  A restart moves the inserting family
-directly before the displaced one, so the new order keeps pi up to the
+over the positions of the insertion order, a tuple of sibling-family
+ids (id order in the first attempt); the trace's 1-based ``pi`` is
+derived from it, each family's position in id order.  The singleton DA
+phase ignores the order, so it runs once, right after the first
+``attempt`` event.  A restart moves the inserting family directly before
+the displaced one, so the new order keeps the old one up to the
 displaced family's position and so does the matching state: the engine
 journals every proposal, and the next attempt undoes the journal to the
 state before that position and resumes there.  It first logs the events
@@ -287,32 +289,32 @@ class _Engine:
         return None if witness is None else witness.tuple_index
 
 
-def _one_based(pi: tuple[int, ...]) -> list[int]:
-    return [i + 1 for i in pi]
-
-
 def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
     """The insertion driver of DA, SC, SDA and ESDA (``algo``): DA inserts
     no family, only SC applies its application rule (the engine's
     ``sibling_applied``) and stops at a displaced sibling family, and only
     ESDA checks each insertion for an improvement.
 
-    The restart rule: when inserting ``pi[position]`` displaces the
+    The insertion order is a tuple of family ids, ``attempted`` holds
+    every order tried, and the trace's ``pi`` and ``new_pi`` map an order
+    through ``pi``, each family's 1-based position in id order.
+
+    The restart rule: when inserting ``order[position]`` displaces the
     sibling family f', the inserting family moves directly before f' and
     the next attempt resumes at f''s position ``keep``.  Only a seated
     family can be displaced, and an undo unseats every position from
     ``keep`` on, so f' was inserted earlier in this attempt or is the
-    inserting family itself: ``keep <= position``, the new order is pi
-    with ``pi[position]`` moved to ``keep``, and it first differs from pi
-    at ``keep``.  A family that displaced itself leaves pi unchanged,
-    which is a repeat.
+    inserting family itself: ``keep <= position``, the new order is the
+    old one with ``order[position]`` moved to ``keep``, and it first
+    differs from the old one at ``keep``.  A family that displaced itself
+    leaves the order unchanged, which is a repeat.
     """
     trace = ExecutionTrace()
     engine = _Engine(instance, trace)
-    fs = () if algo == "da" else instance.sibling_families
-    pi = tuple(range(len(fs)))
-    attempted = {pi}
-    trace.append("attempt", index=0, pi=_one_based(pi), families=list(fs))
+    order = () if algo == "da" else instance.sibling_families
+    pi = {f: k for k, f in enumerate(order, 1)}
+    attempted = {order}
+    trace.append("attempt", index=0, pi=list(pi.values()), families=list(order))
     base = len(trace.events)
     # the DA phase runs once: its end state is journal mark 0 and its
     # events head the prefix that every resumed attempt logs again
@@ -320,13 +322,13 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
     engine.journal.clear()
     engine.sibling_applied = set() if algo == "sc" else None
     # marks[k]: (journal length, events logged since the attempt event)
-    # before inserting pi[k]
+    # before inserting order[k]
     marks, position = [], 0
 
     try:
-        while position < len(pi):
+        while position < len(order):
             marks.append((len(engine.journal), len(trace.events) - base))
-            fam = instance.families_by_id[fs[pi[position]]]
+            fam = instance.families_by_id[order[position]]
             trace.append("insert", family=fam.id, position=position)
             hit = engine.cascade(deque([fam.id]))
             if hit is not None:
@@ -335,19 +337,19 @@ def _run_inserting(instance: Instance, algo: str) -> AlgorithmOutcome:
                     reason = "sibling family displaced"
                     trace.append("clash", family=displaced, child=child, daycare=d, reason=reason)
                     raise _Failed
-                keep = pi.index(fs.index(displaced))
-                new_pi = (*pi[:keep], pi[position], *pi[keep:position], *pi[position + 1 :])
-                kind = "repeat" if new_pi in attempted else "restart"
-                trace.append(kind, inserting=fam.id, displaced=displaced, new_pi=_one_based(new_pi))
+                keep = order.index(displaced)
+                new = (*order[:keep], fam.id, *order[keep:position], *order[position + 1 :])
+                kind = "repeat" if new in attempted else "restart"
+                new_pi = [pi[f] for f in new]
+                trace.append(kind, inserting=fam.id, displaced=displaced, new_pi=new_pi)
                 if kind == "repeat":
                     raise _Failed
                 engine.undo(marks[keep][0])
                 prefix = trace.events[base : base + marks[keep][1]]
                 del marks[keep:]
-                pi, position = new_pi, keep
-                families = [fs[k] for k in pi]
-                trace.append("attempt", index=len(attempted), pi=_one_based(pi), families=families)
-                attempted.add(pi)
+                order, position = new, keep
+                trace.append("attempt", index=len(attempted), pi=new_pi, families=list(order))
+                attempted.add(order)
                 base = len(trace.events)
                 trace.events.extend(prefix)
             elif algo == "esda" and (j := engine.improvable(fam)) is not None:

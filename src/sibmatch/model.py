@@ -335,11 +335,13 @@ class Instance:
 
         A pair in ``rank`` is answered from it, any other pair by a scan of
         the priority list: an applicant the daycare does not rank, or a
-        pair that only input from outside a run names.
+        pair that only input from outside a run names.  A daycare id the
+        market lacks ranks no child.
         """
         if daycare_id == DUMMY_ID:
             return True
-        return child in self.rank[daycare_id] or child in self.daycares_by_id[daycare_id].priority
+        dc = self.daycares_by_id.get(daycare_id)
+        return dc is not None and (child in self.rank[daycare_id] or child in dc.priority)
 
     def __repr__(self) -> str:
         return (
@@ -352,8 +354,8 @@ class Matching:
     """A total assignment of children to daycares.
 
     Unmatched children are assigned the dummy daycare, so the map is
-    total by construction.  The daycare-side view is derived and kept
-    consistent: ``child in roster(d)`` iff ``assignment[child] == d``.
+    total by construction.  The daycare-side view is built with it:
+    ``child in roster(d)`` iff ``assignment[child] == d``.
     Value semantics: equality compares assignments only.  Anything but a
     mapping of every child to a known daycare id raises MatchingError.
     """
@@ -373,7 +375,10 @@ class Matching:
         if missing:
             raise MatchingError(f"assignment: missing children {missing}")
         self._assignment: dict[str, str] = {child: assignment[child] for child in known}
-        self._rosters: dict[str, frozenset[str]] | None = None
+        rosters: dict[str, set[str]] = {}
+        for child, d in self._assignment.items():
+            rosters.setdefault(d, set()).add(child)
+        self._rosters = {d: frozenset(cs) for d, cs in rosters.items()}
 
     @classmethod
     def all_unmatched(cls, instance: Instance) -> "Matching":
@@ -397,11 +402,6 @@ class Matching:
 
     def roster(self, daycare_id: str) -> frozenset[str]:
         """Children assigned to a daycare (empty for unknown ids)."""
-        if self._rosters is None:
-            rosters: dict[str, set[str]] = {}
-            for child, d in self._assignment.items():
-                rosters.setdefault(d, set()).add(child)
-            self._rosters = {d: frozenset(cs) for d, cs in rosters.items()}
         return self._rosters.get(daycare_id, frozenset())
 
     def family_tuple(self, family: Family) -> tuple[str, ...]:

@@ -58,9 +58,6 @@ class BlockingCoalition:
     accepted: dict[str, frozenset[str]]
 
 
-_ADMITTED = (frozenset(), ())  # select's result when every applicant is chosen
-
-
 def select(seated, applicants, rank: dict[str, int], quota: int | None):
     """A daycare's greedy choice from ``seated | applicants``: acceptable
     children in priority order up to ``quota`` (None: unlimited).
@@ -71,11 +68,14 @@ def select(seated, applicants, rank: dict[str, int], quota: int | None):
     daycare's applicant pairs; applicants absent from it are unacceptable.
     ``seated`` (all acceptable) and ``applicants`` are disjoint sets of
     children some tuple of their family names the daycare for.
+
+    The pool is the acceptable applicants plus the seated children; a
+    pool that fits the quota is chosen whole, so only the unacceptable
+    applicants are refused and nobody is evicted.  Only a larger pool is
+    sorted by rank.
     """
     if quota is None:
-        return _ADMITTED
-    if len(seated) + len(applicants) <= quota and rank.keys() >= applicants:
-        return _ADMITTED
+        return frozenset(), ()
     pool = [c for c in applicants if c in rank]
     pool += seated
     if len(pool) <= quota:

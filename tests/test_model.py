@@ -249,6 +249,8 @@ def _check_rank_tables(inst):
     for dc in inst.daycares:
         for c in inst.family_of:
             assert inst.is_acceptable(dc.id, c) == (dc.id == DUMMY_ID or c in dc.priority)
+    # a daycare the market lacks ranks no child
+    assert not any(inst.is_acceptable("nope", c) for c in inst.family_of)
 
 
 @settings(max_examples=200, deadline=None)
